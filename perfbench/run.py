@@ -96,13 +96,16 @@ PER_LAYER = {
 # report block prints them (report key in the binary's output -> unit).
 NAMED = {
     "mond-stream": {"stream_events_per_s": "events/s",
-                    "stream_drain_ms": "ms", "stream_pass_ms": "ms",
-                    "stream_peak_rss_mb": "MB"},
+                    "stream_pass_ms": "ms", "stream_peak_rss_mb": "MB"},
     "check-offline": {"check_events_per_s": "events/s",
                       "check_long_ms": "ms", "check_short_ms": "ms",
                       "locate_ms": "ms", "peak_rss_mb": "MB"},
     "live-tap": {"tap_events_per_s": "events/s", "tap_drain_ms": "ms",
-                 "peak_rss_mb": "MB"},
+                 "tap_events_per_s.tl2": "events/s",
+                 "tap_events_per_s.norec": "events/s",
+                 "tap_events_per_s.2pl-undo": "events/s",
+                 "tap_drain_ms.tl2": "ms", "tap_drain_ms.norec": "ms",
+                 "tap_drain_ms.2pl-undo": "ms", "peak_rss_mb": "MB"},
 }
 
 
@@ -120,17 +123,17 @@ def build_root():
     return os.path.join(ROOT, target)
 
 
-def build(build_type):
-    """Configures (once) and builds the benchmark; returns the binary path."""
+def build():
+    """Configures (once, Release) and builds the benchmark; returns the
+    binary path and the build type the CMake cache holds."""
     if not (os.path.isfile(os.path.join(ROOT, "CMakeLists.txt"))
             and os.path.isdir(os.path.join(ROOT, "src"))):
         fail("the du-opacity sources (CMakeLists.txt, src/) are not next to "
              "perfbench/; run from a full checkout")
-    bdir = os.path.join(build_root(), "perfbench-" + build_type.lower())
+    bdir = os.path.join(build_root(), "perfbench-release")
     jobs = str(min(4, os.cpu_count() or 1))
     if not os.path.isfile(os.path.join(bdir, "CMakeCache.txt")):
-        cmd = ["cmake", "-S", HERE, "-B", bdir,
-               "-DCMAKE_BUILD_TYPE=" + build_type]
+        cmd = ["cmake", "-S", HERE, "-B", bdir, "-DCMAKE_BUILD_TYPE=Release"]
         if subprocess.run(cmd, stdout=sys.stderr, stderr=sys.stderr).returncode:
             fail("cmake configure failed")
     cmd = ["cmake", "--build", bdir, "-j", jobs, "--target", "perfbench"]
@@ -196,7 +199,6 @@ def main():
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, default=10)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--build-type", default="Release")
     ap.add_argument("--baseline", metavar="FILE",
                     help="also write the full result record to FILE "
                          "(Release builds only)")
@@ -204,7 +206,7 @@ def main():
     if not 0 < args.seconds <= 120:
         fail("--seconds must be in (0, 120]", 2)
 
-    binary, build_type = build(args.build_type)
+    binary, build_type = build()
     if args.baseline and build_type != "Release":
         fail("refusing to record a baseline from a %s build" % build_type, 3)
     out_dir = os.path.join(build_root(), "out")

@@ -122,7 +122,7 @@ duo::stm::WorkloadOptions tap_options(std::uint64_t seed) {
   // STM threads plus the tap thread stay within the hardware threads.
   const std::size_t hw = std::max(2u, std::thread::hardware_concurrency());
   o.threads = std::min<std::size_t>(3, hw - 1);
-  o.txns_per_thread = 10'000;
+  o.txns_per_thread = 5'000;
   o.objects = 64;
   o.ops_per_txn = 4;
   o.write_fraction = 0.3;
@@ -135,17 +135,21 @@ duo::stm::WorkloadOptions tap_options(std::uint64_t seed) {
   return o;
 }
 
-// A tapped live-tap run (normally a few seconds) that has not reached its
-// verdict after this long is killed and counted as undecided.
-constexpr double kTapRunTimeout = 30;
+// A recorded or tapped live-tap run (normally well under a second) that has
+// not reached its verdict after this long is killed and counted as
+// undecided.
+constexpr double kTapRunTimeout = 10;
+// Time budget of the GC-off replay of a mismatching prefix.
+constexpr double kReplaySeconds = 3;
 
 // Address-space cap of the benchmark process (and its children): a
 // monitor fallback that materializes a huge history fails the run instead
 // of exhausting the machine's memory.
-constexpr rlim_t kAddressSpaceCap = rlim_t{6} << 30;
+constexpr rlim_t kAddressSpaceCap = rlim_t{4} << 30;
 
 // Set-up is timed this many times per run; the median is reported.
 constexpr int kSetupReps = 101;
+constexpr int kCheckSetupReps = 15;  // each loads the whole check-offline set
 
 std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t stream) {
   Rng r(seed * 0x100000001b3ULL + stream);
@@ -382,23 +386,63 @@ duo::service::PipelineOptions stream_pipeline_options() {
   return o;
 }
 
+void check_stream(Result& r, const duo::service::PipelineResult& res,
+                  const Input& in) {
+  ++r.attempted;
+  if (res.error)
+    r.fail("mond-stream: input error: " + res.explanation);
+  else if (res.verdict != Verdict::kYes)
+    r.fail("mond-stream: verdict " + duo::checker::to_string(res.verdict) +
+           " at event " + std::to_string(res.first_violation.value_or(0)) +
+           ": " + res.explanation);
+  else if (res.events != in.events)
+    r.fail("mond-stream: " + std::to_string(res.events) + " events, expected " +
+           std::to_string(in.events));
+}
+
+/// One untraced pass: duo_mond's own loop, service::run_daemon, at its
+/// default options with GC on, stats off and the idle cutoff at its
+/// minimum (1 ms), so it ends right after the whole file was handed over.
+/// The final verdict line goes to a memory stream. Returns the time from
+/// the call to the final verdict.
+double daemon_pass(Result& r, const Input& in) {
+  duo::service::DaemonOptions o;
+  o.trace_path = in.path;
+  o.pipeline = stream_pipeline_options();
+  o.follow.idle_ms = 1;
+  o.stats_interval_ms = 0;
+  char* line = nullptr;
+  std::size_t line_len = 0;
+  std::FILE* out = ::open_memstream(&line, &line_len);
+  if (out == nullptr) usage("open_memstream failed");
+  const double t0 = now_s();
+  const duo::service::DaemonReport rep = duo::service::run_daemon(o, out);
+  const double wall = now_s() - t0;
+  std::fclose(out);
+  const std::string said(line, line_len);
+  std::free(line);
+  check_stream(r, rep.result, in);
+  if (rep.exit_code != 0 || rep.ended_by != "eof-idle") {
+    ++r.attempted;
+    r.fail("mond-stream: run_daemon exit " + std::to_string(rep.exit_code) +
+           ", ended by " + rep.ended_by + ": " + said);
+  }
+  return wall;
+}
+
+/// One traced pass: run_daemon's loop written out, so that each call into
+/// the service gets a span (run_daemon itself has no hook for that).
 struct StreamPass {
-  double setup_s = 0;
-  double wall_s = 0;   // first poll to final verdict
-  double drain_s = 0;  // last chunk handed over to final verdict
+  double wall_s = 0;  // first poll to final verdict
   duo::service::PipelineResult result;
 };
 
-/// One pass of the trace file through duo_mond's loop (run_daemon without
-/// the idle cutoff: the pass ends once the whole file was handed over).
 StreamPass stream_pass(const std::string& path, std::size_t size, Tracer& tr,
-                       Samples* inflight) {
+                       Samples& inflight) {
   StreamPass p;
-  const double t0 = now_s();
   duo::service::FollowReader reader(path, {});
   duo::service::IngestPipeline pipeline(stream_pipeline_options());
   const double t1 = now_s();
-  p.setup_s = t1 - t0;
   const std::uint32_t pass = tr.open("stream.pass");
   std::string chunk;
   std::size_t submitted = 0;
@@ -410,32 +454,13 @@ StreamPass stream_pass(const std::string& path, std::size_t size, Tracer& tr,
     timed(tr, "service.submit", pass,
           [&] { more = pipeline.submit(std::move(chunk)); });
     ++submitted;
-    if (inflight != nullptr)
-      inflight->add(static_cast<double>(submitted -
-                                        pipeline.snapshot().chunks));
+    inflight.add(static_cast<double>(submitted - pipeline.snapshot().chunks));
     if (!more || reader.bytes_consumed() >= size) break;
   }
-  const double handed = now_s();
   timed(tr, "service.finish", pass, [&] { p.result = pipeline.finish(); });
-  const double t2 = now_s();
   tr.close(pass);
-  p.wall_s = t2 - t1;
-  p.drain_s = t2 - handed;
+  p.wall_s = now_s() - t1;
   return p;
-}
-
-void check_stream(Result& r, const StreamPass& p, const Input& in) {
-  ++r.attempted;
-  const auto& res = p.result;
-  if (res.error)
-    r.fail("mond-stream: input error: " + res.explanation);
-  else if (res.verdict != Verdict::kYes)
-    r.fail("mond-stream: verdict " + duo::checker::to_string(res.verdict) +
-           " at event " + std::to_string(res.first_violation.value_or(0)) +
-           ": " + res.explanation);
-  else if (res.events != in.events)
-    r.fail("mond-stream: " + std::to_string(res.events) + " events, expected " +
-           std::to_string(in.events));
 }
 
 /// The layer phase: the same chunks read, parsed alone, and fed to a
@@ -521,8 +546,7 @@ void run_stream(const Args& a, Result& r) {
   if (::stat(in.path.c_str(), &st) != 0) usage("missing trace file");
   const auto size = static_cast<std::size_t>(st.st_size);
 
-  Tracer off(false);
-  Samples setup, wall_ms, drain_ms, eps;
+  Samples setup, pass_ms, eps;
   // Set-up alone, repeated: constructing the reader and the pipeline (its
   // parse workers and applier) before the first input.
   for (int rep = 0; rep < kSetupReps; ++rep) {
@@ -532,45 +556,44 @@ void run_stream(const Args& a, Result& r) {
     setup.add(now_s() - t0);
     (void)pipeline.finish();
   }
-  const auto measure = [&](double seconds, Tracer& tr, Samples* inflight) {
-    Samples w;
+  const auto untraced = [&](double seconds) {
     const double until = now_s() + seconds;
     do {
-      const StreamPass p = stream_pass(in.path, size, tr, inflight);
-      check_stream(r, p, in);
-      setup.add(p.setup_s);
-      w.add(p.wall_s);
-      if (!tr.on()) {
-        wall_ms.add(p.wall_s * 1e3);
-        drain_ms.add(p.drain_s * 1e3);
-        eps.add(in.events / p.wall_s);
-      }
+      const double wall = daemon_pass(r, in);
+      pass_ms.add(wall * 1e3);
+      eps.add(static_cast<double>(in.events) / wall);
     } while (now_s() < until);
-    return w;
   };
 
   if (!a.trace) {
-    measure(a.seconds, off, nullptr);
+    untraced(a.seconds);
     r.metrics["setup_s"] = setup.median();
     r.metrics["events_per_s"] = eps.median();
-    r.metrics["verdict_ms"] = drain_ms.median();
+    r.metrics["verdict_ms"] = pass_ms.median();
     report_timing(r, "stream_events_per_s", eps);
-    report_timing(r, "stream_pass_ms", wall_ms);
-    report_timing(r, "stream_drain_ms", drain_ms);
+    report_timing(r, "stream_pass_ms", pass_ms);
     r.report.num("stream_peak_rss_mb", peak_rss_mb());
     r.report.integer("trace_events", in.events).integer("trace_bytes", size);
     return;
   }
 
   // Traced: untraced passes first (the overhead baseline), then the layer
-  // phase, then traced pipeline passes.
-  const Samples untraced = measure(a.seconds * 0.35, off, nullptr);
+  // phase, then traced pipeline passes. With only a few passes per phase,
+  // a first pass (page cache, allocator arenas still growing) would skew
+  // the comparison, so one untimed pass goes before them.
+  (void)daemon_pass(r, in);
+  untraced(a.seconds * 0.35);
   Tracer tr(true);
   const LayerTimes lt = stream_layers(r, in, size, tr);
-  Samples inflight;
-  const Samples traced = measure(a.seconds * 0.35, tr, &inflight);
+  Samples inflight, traced;
+  const double until = now_s() + a.seconds * 0.35;
+  do {
+    const StreamPass p = stream_pass(in.path, size, tr, inflight);
+    check_stream(r, p.result, in);
+    traced.add(p.wall_s);
+  } while (now_s() < until);
   const double wall_traced = traced.median();
-  set_overhead(r, in.events / untraced.median(), in.events / wall_traced);
+  set_overhead(r, eps.median(), in.events / wall_traced);
 
   auto& m = r.metrics;
   const Samples poll = tr.durations("service.poll");
@@ -642,16 +665,19 @@ void run_check(const Args& a, Result& r) {
   const std::vector<Input> inputs = load_manifest(a);
   if (inputs.empty()) usage("empty check-offline manifest");
 
-  // Set-up: loading the trace set from disk, the work before the first
-  // check (repeated; the median is reported).
+  // Set-up: what duo_check does before its first check, for the whole set:
+  // reading each trace and building its History (parse_history). Repeated;
+  // the median is reported. The passes below redo both per trace, as
+  // duo_check does.
   Samples setup;
   std::vector<std::string> texts;
-  for (int rep = 0; rep < kSetupReps; ++rep) {
+  for (int rep = 0; rep < kCheckSetupReps; ++rep) {
     const double t0 = now_s();
     texts.clear();
     for (const Input& in : inputs) {
       auto t = read_file(in.path);
       if (!t) usage("missing trace file");
+      if (!duo::history::parse_history(*t)) usage("trace does not parse");
       texts.push_back(std::move(*t));
     }
     setup.add(now_s() - t0);
@@ -821,6 +847,7 @@ struct TapRun {
   std::size_t events = 0;
   duo::stm::WorkloadStats ws;
   Verdict verdict = Verdict::kUnknown;
+  bool ok = false;  // every check of the run passed
   duo::monitor::MonitorStats mstats;
   // Traced tap loop only.
   double busy_s = 0;
@@ -868,54 +895,108 @@ std::string events_text(const std::vector<duo::history::Event>& events,
   return out.str();
 }
 
-/// Writes the recorded prefix up to a live-tap mismatch as a replayable
-/// trace, with what the GC-off monitor (and, on prefixes small enough for
-/// the batch checker, check_du_opacity) says on the same prefix.
-void report_tap_mismatch(const Args& a, Result& r, const char* backend,
-                         const duo::stm::Recorder& rec,
+/// A live-tap mismatch: the recorded prefix up to the latched event (or
+/// everything the tap fed), written as a replayable trace, and what is
+/// known about it so far.
+struct Mismatch {
+  std::vector<duo::history::Event> prefix;
+  duo::history::ObjId objects = 0;
+  Json info;
+};
+
+Mismatch record_mismatch(const Args& a, const char* backend,
+                         std::uint64_t seed, const duo::stm::Recorder& rec,
                          const duo::monitor::OnlineMonitor& mon,
                          duo::history::ObjId objects) {
+  Mismatch m;
+  m.objects = objects;
   const std::size_t n = mon.first_violation()
                             ? *mon.first_violation() + 1
                             : std::min(rec.count(), mon.events_fed());
-  std::vector<duo::history::Event> events(n);
-  for (std::size_t i = 0; i < n; ++i) (void)rec.try_read(i, events[i]);
-  duo::monitor::OnlineMonitor off;  // GC off
-  const auto fed = off.feed_batch(events.data(), events.size());
-  Json j;
-  j.str("backend", backend)
+  m.prefix.resize(n);
+  for (std::size_t i = 0; i < n; ++i) (void)rec.try_read(i, m.prefix[i]);
+  m.info.str("backend", backend)
+      .integer("run_seed", seed)
       .integer("prefix_events", n)
       .boolean("recorder_overflowed", rec.overflowed())
       .str("gc_on_verdict", duo::checker::to_string(mon.verdict()))
-      .str("gc_on_reason", mon.explanation())
-      .str("gc_off_verdict", fed.error.empty()
-                                 ? duo::checker::to_string(off.verdict())
-                                 : "error: " + fed.error);
-  const std::string path = a.out_dir + "/live-tap-" + backend + "-seed" +
-                           std::to_string(a.seed) + "-prefix.txt";
-  if (write_file(path, events_text(events, objects)))
-    j.str("replay_trace", path);
-  if (n <= 100'000) {
-    auto h = duo::history::History::make(events, objects);
-    if (h)
-      j.str("check_du_opacity",
-            duo::checker::to_string(
-                duo::checker::check_du_opacity(h.value()).verdict));
-  }
-  r.report.obj(std::string("mismatch_") + backend, j);
-  std::fprintf(stderr, "perfbench: live-tap mismatch: %s\n", j.text().c_str());
+      .str("gc_on_reason", mon.explanation());
+  const std::string path = a.out_dir + "/live-tap-" + backend + "-" +
+                           std::to_string(seed) + "-prefix.txt";
+  if (write_file(path, events_text(m.prefix, objects)))
+    m.info.str("replay_trace", path);
+  std::fprintf(stderr, "perfbench: live-tap mismatch: %s\n",
+               m.info.text().c_str());
+  return m;
 }
 
+/// Replays a mismatching prefix on the GC-off monitor (and, on prefixes
+/// small enough for the batch checker, check_du_opacity). The GC-off
+/// monitor can itself fall into slow fallback checks on such prefixes, so
+/// the replay feeds one event at a time, stops at its time budget and says
+/// how far it got; a single event that stalls is cut by the run deadline.
+Json replay_mismatch(Mismatch& m) {
+  duo::monitor::OnlineMonitor off;  // GC off
+  const double until = now_s() + kReplaySeconds;
+  std::string error;
+  std::size_t replayed = 0;
+  while (replayed < m.prefix.size() && error.empty() &&
+         off.verdict() != Verdict::kNo && now_s() < until)
+    error = off.feed_batch(&m.prefix[replayed++], 1).error;
+  m.info
+      .str("gc_off_verdict", !error.empty()
+                                 ? "error: " + error
+                                 : duo::checker::to_string(off.verdict()))
+      .integer("gc_off_replayed_events", replayed);
+  if (m.prefix.size() <= 50'000) {
+    auto h = duo::history::History::make(m.prefix, m.objects);
+    if (h)
+      m.info.str("check_du_opacity",
+                 duo::checker::to_string(
+                     duo::checker::check_du_opacity(h.value()).verdict));
+  }
+  std::fprintf(stderr, "perfbench: live-tap mismatch replayed: %s\n",
+               m.info.text().c_str());
+  return m.info;
+}
+
+/// Counts a run's logical transactions in `attempted` and the abandoned
+/// ones in `failed`, and checks that every one of them ran.
+void check_mix(Result& r, const char* backend,
+               const duo::stm::WorkloadOptions& wo,
+               const duo::stm::WorkloadStats& ws) {
+  r.attempted += ws.committed + ws.abandoned;
+  if (ws.abandoned > 0) {
+    r.failed += ws.abandoned;
+    r.failures.push_back(std::string(backend) + ": " +
+                         std::to_string(ws.abandoned) +
+                         " transactions abandoned");
+  }
+  if (ws.committed + ws.abandoned != wo.threads * wo.txns_per_thread)
+    r.fail(std::string(backend) + ": " + std::to_string(ws.committed) +
+           " committed and " + std::to_string(ws.abandoned) +
+           " abandoned of " + std::to_string(wo.threads * wo.txns_per_thread) +
+           " transactions");
+}
+
+/// One run_random_mix on `backend`: bare, recorded (the recording is then
+/// checked by draining it into the monitor), or recorded with a tap thread
+/// feeding the monitor live. The monitor runs with GC on, as duo_mond's
+/// does. Every verdict is checked.
 TapRun tap_run(const Args& a, Result& r, const char* backend, TapMode mode,
-               std::uint64_t seed, Tracer& stm_tr, Tracer& tap_tr) {
+               std::uint64_t seed, Tracer& stm_tr, Tracer& tap_tr,
+               std::optional<Mismatch>* mismatch = nullptr) {
   const duo::stm::WorkloadOptions wo = tap_options(seed);
+  const std::uint64_t failed_before = r.failed;
   TapRun t;
   const auto run_mix = [&](duo::stm::Stm& stm) {
     timed(stm_tr, "stm.run_random_mix", 0,
           [&] { t.ws = duo::stm::run_random_mix(stm, wo); });
+    check_mix(r, backend, wo, t.ws);
   };
   if (mode == TapMode::kBare) {
     run_mix(*duo::stm::make_stm(backend, wo.objects));
+    t.ok = r.failed == failed_before;
     return t;
   }
   // A transaction records 2 events per op plus tryC; aborted attempts add
@@ -935,38 +1016,37 @@ TapRun tap_run(const Args& a, Result& r, const char* backend, TapMode mode,
 
   if (mode == TapMode::kRecorded) {
     run_mix(*stm);
-    t.events = rec->count();
-    return t;
-  }
-
-  std::atomic<bool> done{false};
-  std::thread tapper([&] {
-    if (mode == TapMode::kTapped) {
-      tap.pump(done);
-      return;
-    }
-    for (;;) {
-      const bool finished = done.load(std::memory_order_acquire);
-      const double p0 = now_s();
-      const std::uint32_t id = tap_tr.open("monitor.tap_poll");
-      const std::size_t fed = tap.poll();
-      tap_tr.close(id);
-      if (fed > 0) {
-        t.busy_s += now_s() - p0;
-        continue;
+    (void)tap.poll();  // not timed: the check of the recording
+  } else {
+    std::atomic<bool> done{false};
+    std::thread tapper([&] {
+      if (mode == TapMode::kTapped) {
+        tap.pump(done);
+        return;
       }
-      ++t.idle_polls;
-      if (finished) return;
-      std::this_thread::yield();
-    }
-  });
-  run_mix(*stm);
-  const double joined = now_s();
-  done.store(true, std::memory_order_release);
-  tapper.join();
-  const double t2 = now_s();
-  t.wall_s = t2 - t1;
-  t.drain_s = t2 - joined;
+      for (;;) {
+        const bool finished = done.load(std::memory_order_acquire);
+        const double p0 = now_s();
+        const std::uint32_t id = tap_tr.open("monitor.tap_poll");
+        const std::size_t fed = tap.poll();
+        tap_tr.close(id);
+        if (fed > 0) {
+          t.busy_s += now_s() - p0;
+          continue;
+        }
+        ++t.idle_polls;
+        if (finished) return;
+        std::this_thread::yield();
+      }
+    });
+    run_mix(*stm);
+    const double joined = now_s();
+    done.store(true, std::memory_order_release);
+    tapper.join();
+    const double t2 = now_s();
+    t.wall_s = t2 - t1;
+    t.drain_s = t2 - joined;
+  }
   t.events = rec->count();
   // One poll() drains everything published, so while the producers
   // outpace the tap a single call spans most of the run and the position
@@ -976,21 +1056,15 @@ TapRun tap_run(const Args& a, Result& r, const char* backend, TapMode mode,
   t.verdict = tap.qualified_verdict();
   t.mstats = mon.stats();
   std::fprintf(stderr,
-               "live-tap %s: %zu events in %.3f s (drain %.3f s), %llu "
-               "commits, %llu aborts, verdict %s, %zu full checks\n",
-               backend, t.events, t.wall_s, t.drain_s,
+               "%s %s: %zu events in %.3f s (drain %.3f s), %llu commits, "
+               "%llu aborts, verdict %s, %zu full checks\n",
+               a.workload.c_str(), backend, t.events, t.wall_s, t.drain_s,
                static_cast<unsigned long long>(t.ws.committed),
                static_cast<unsigned long long>(t.ws.aborted),
                duo::checker::to_string(t.verdict).c_str(),
                t.mstats.full_checks);
 
-  r.attempted += 1 + t.ws.committed + t.ws.abandoned;
-  if (t.ws.abandoned > 0) {
-    r.failed += t.ws.abandoned;
-    r.failures.push_back(std::string(backend) + ": " +
-                         std::to_string(t.ws.abandoned) +
-                         " transactions abandoned");
-  }
+  ++r.attempted;
   const auto* info = duo::stm::find_backend(backend);
   const Verdict expected =
       info != nullptr && info->expected == duo::stm::DuExpectation::kDuOpaque
@@ -1006,15 +1080,44 @@ TapRun tap_run(const Args& a, Result& r, const char* backend, TapMode mode,
                       std::to_string(*mon.first_violation()) + ": " +
                       mon.explanation() + ")"
                 : std::string()));
-    report_tap_mismatch(a, r, backend, *rec, mon, wo.objects);
+    Mismatch m = record_mismatch(a, backend, seed, *rec, mon, wo.objects);
+    r.report.obj(std::string("mismatch_") + backend, m.info);
+    if (mismatch != nullptr) *mismatch = std::move(m);
   }
+  t.ok = r.failed == failed_before;
   return t;
 }
 
-/// Runs one tapped backend run in a child process, so that a monitor stuck
-/// in an expensive fallback (or running out of memory) costs a reported
-/// failure and a bounded wait instead of the whole run. The child sends
-/// its TapRun, verdict accounting and report back through a pipe.
+void write_all(int fd, const std::string& msg) {
+  for (std::size_t off = 0; off < msg.size();) {
+    const ssize_t w = ::write(fd, msg.data() + off, msg.size() - off);
+    if (w <= 0) return;
+    off += static_cast<std::size_t>(w);
+  }
+}
+
+void append_part(std::string& msg, const std::string& part) {
+  const std::uint64_t n = part.size();
+  msg.append(reinterpret_cast<const char*>(&n), sizeof n);
+  msg += part;
+}
+
+/// Reads a part append_part wrote at `off`; false if it is incomplete.
+bool take_part(const std::string& msg, std::size_t& off, std::string& part) {
+  std::uint64_t n = 0;
+  if (off + sizeof n > msg.size()) return false;
+  std::memcpy(&n, msg.data() + off, sizeof n);
+  if (off + sizeof n + n > msg.size()) return false;
+  part = msg.substr(off + sizeof n, n);
+  off += sizeof n + n;
+  return true;
+}
+
+/// Runs one recorded or tapped run in a child process, so that a monitor
+/// stuck in an expensive fallback (or running out of memory) costs a
+/// reported failure and a bounded wait instead of the whole run. The child
+/// sends its TapRun, verdict accounting and report back through a pipe,
+/// then, after a mismatch, replays the prefix and sends that report too.
 TapRun isolated_tap_run(const Args& a, Result& r, const char* backend,
                         TapMode mode, std::uint64_t seed) {
   int fds[2];
@@ -1026,28 +1129,26 @@ TapRun isolated_tap_run(const Args& a, Result& r, const char* backend,
     ::prctl(PR_SET_PDEATHSIG, SIGKILL);  // never outlive the run
     ::close(fds[0]);
     Result cr;
-    Tracer stm_tr(mode == TapMode::kTappedTraced);
+    Tracer stm_tr(a.trace);
     Tracer tap_tr(mode == TapMode::kTappedTraced);
-    const TapRun t = tap_run(a, cr, backend, mode, seed, stm_tr, tap_tr);
-    if (stm_tr.on()) {
-      write_spans(a, stm_tr, backend, true);
+    std::optional<Mismatch> mismatch;
+    const TapRun t =
+        tap_run(a, cr, backend, mode, seed, stm_tr, tap_tr, &mismatch);
+    if (stm_tr.on()) write_spans(a, stm_tr, backend, true);
+    if (tap_tr.on())
       write_spans(a, tap_tr, (std::string(backend) + ".tap").c_str(), true);
-    }
     std::string msg(reinterpret_cast<const char*>(&t), sizeof t);
     const std::uint64_t counts[3] = {cr.attempted, cr.failed, cr.wrong};
     msg.append(reinterpret_cast<const char*>(counts), sizeof counts);
     std::string failures;
     for (const auto& f : cr.failures) failures += f + '\n';
-    const std::string report = cr.report.text();
-    for (const std::string* part : {&std::as_const(failures), &report}) {
-      const std::uint64_t n = part->size();
-      msg.append(reinterpret_cast<const char*>(&n), sizeof n);
-      msg += *part;
-    }
-    for (std::size_t off = 0; off < msg.size();) {
-      const ssize_t w = ::write(fds[1], msg.data() + off, msg.size() - off);
-      if (w <= 0) break;
-      off += static_cast<std::size_t>(w);
+    append_part(msg, failures);
+    append_part(msg, cr.report.text());
+    write_all(fds[1], msg);
+    if (mismatch) {
+      msg.clear();
+      append_part(msg, replay_mismatch(*mismatch).text());
+      write_all(fds[1], msg);
     }
     ::_exit(0);
   }
@@ -1074,15 +1175,17 @@ TapRun isolated_tap_run(const Args& a, Result& r, const char* backend,
   ::waitpid(pid, &status, 0);
 
   TapRun t;
-  const std::size_t head = sizeof t + 3 * sizeof(std::uint64_t);
-  if (timed_out || msg.size() < head) {
+  std::size_t off = sizeof t + 3 * sizeof(std::uint64_t);
+  std::string failures, report, replay;
+  if (msg.size() < off || !take_part(msg, off, failures) ||
+      !take_part(msg, off, report)) {
     ++r.attempted;
     r.fail(std::string(backend) + ": no verdict: " +
-           (timed_out ? "the tapped run exceeded " +
+           (timed_out ? "the run exceeded " +
                             std::to_string(static_cast<int>(kTapRunTimeout)) +
                             " s"
-                      : "the tapped run died (status " +
-                            std::to_string(status) + ")"));
+                      : "the run died (status " + std::to_string(status) +
+                            ")"));
     return t;
   }
   std::memcpy(&t, msg.data(), sizeof t);
@@ -1091,43 +1194,42 @@ TapRun isolated_tap_run(const Args& a, Result& r, const char* backend,
   r.attempted += counts[0];
   r.failed += counts[1];
   r.wrong += counts[2];
-  std::size_t off = head;
-  std::string parts[2];
-  for (auto& part : parts) {
-    std::uint64_t n = 0;
-    if (off + sizeof n > msg.size()) break;
-    std::memcpy(&n, msg.data() + off, sizeof n);
-    off += sizeof n;
-    part = msg.substr(off, n);
-    off += n;
+  for (std::size_t i = 0, j; i < failures.size(); i = j + 1) {
+    j = failures.find('\n', i);
+    if (r.failures.size() < 20) r.failures.push_back(failures.substr(i, j - i));
   }
-  for (std::size_t i = 0, j; i < parts[0].size(); i = j + 1) {
-    j = parts[0].find('\n', i);
-    if (r.failures.size() < 20) r.failures.push_back(parts[0].substr(i, j - i));
-  }
-  if (parts[1].size() > 2)
-    r.report.raw("tap_run_" + std::to_string(++r.tap_reports), parts[1]);
+  if (report.size() > 2)
+    r.report.raw("tap_run_" + std::to_string(++r.tap_reports), report);
+  if (take_part(msg, off, replay))
+    r.report.raw("tap_replay_" + std::to_string(r.tap_reports), replay);
+  else if (timed_out && r.failures.size() < 20)
+    r.failures.push_back(std::string(backend) +
+                         ": the GC-off replay of the mismatching prefix did "
+                         "not finish before the run deadline");
   return t;
 }
 
 void run_tap(const Args& a, Result& r) {
-  Samples setup, drain_ms, round_eps;
-  std::map<std::string, Samples> backend_eps;
+  // Runs that passed every check are timed; the rate pools them (each
+  // run's event count swings with its aborts), the drain is their median.
+  Samples setup, drain_ms;
+  double events = 0, wall = 0;
+  std::map<std::string, Samples> backend_eps, backend_drain_ms;
   std::uint64_t round = 0;
   const auto tapped_round = [&] {
-    double events = 0, wall = 0;
     for (std::size_t b = 0; b < std::size(kTapBackends); ++b) {
-      const auto t = isolated_tap_run(a, r, kTapBackends[b], TapMode::kTapped,
+      const char* name = kTapBackends[b];
+      const auto t = isolated_tap_run(a, r, name, TapMode::kTapped,
                                       mix_seed(a.seed, 1000 * round + b));
-      if (t.wall_s <= 0) continue;  // no verdict: counted as a failure
+      if (!t.ok) continue;  // counted as a failure, not timed
       setup.add(t.setup_s);
       drain_ms.add(t.drain_s * 1e3);
-      backend_eps[kTapBackends[b]].add(t.events / t.wall_s);
       events += static_cast<double>(t.events);
       wall += t.wall_s;
+      backend_eps[name].add(static_cast<double>(t.events) / t.wall_s);
+      backend_drain_ms[name].add(t.drain_s * 1e3);
     }
     ++round;
-    if (wall > 0) round_eps.add(events / wall);
   };
 
   if (!a.trace) {
@@ -1140,56 +1242,89 @@ void run_tap(const Args& a, Result& r) {
       last = now_s() - r0;
     } while (now_s() - start + last <= a.seconds);
     r.metrics["setup_s"] = setup.median();
-    r.metrics["events_per_s"] = round_eps.median();
+    r.metrics["events_per_s"] = wall > 0 ? events / wall : 0;
     r.metrics["verdict_ms"] = drain_ms.median();
     r.report.num("peak_rss_mb", peak_rss_mb());
-    report_timing(r, "tap_events_per_s", round_eps);
+    r.report.num("tap_events_per_s", r.metrics["events_per_s"]);
     report_timing(r, "tap_drain_ms", drain_ms);
-    for (const auto& [name, s] : backend_eps)
-      report_timing(r, "tap_events_per_s." + name, s);
+    for (const char* name : kTapBackends) {
+      report_timing(r, std::string("tap_events_per_s.") + name,
+                    backend_eps[name]);
+      report_timing(r, std::string("tap_drain_ms.") + name,
+                    backend_drain_ms[name]);
+    }
     return;
   }
 
-  // Traced: one untraced round (the overhead baseline), then per backend a
-  // bare, a recorded and a traced tapped run.
-  tapped_round();
-  write_spans(a, Tracer(), "", false);  // the tapped children append
-  Tracer main_tr(true);  // bare and recorded runs, on this thread
-  double events = 0, wall = 0, busy = 0, idle = 0, backlog = 0;
-  double aborted = 0, attempts = 0;
-  auto& m = r.metrics;
-  for (std::size_t b = 0; b < std::size(kTapBackends); ++b) {
-    const char* name = kTapBackends[b];
-    const std::uint64_t seed = mix_seed(a.seed, 5000 + b);
-    const auto bare =
-        tap_run(a, r, name, TapMode::kBare, seed, main_tr, main_tr);
-    const auto recd =
-        tap_run(a, r, name, TapMode::kRecorded, seed, main_tr, main_tr);
-    const auto tapd =
-        isolated_tap_run(a, r, name, TapMode::kTappedTraced, seed);
-    m[std::string("stm.bare_commits_per_s.") + name] = bare.ws.throughput();
-    m[std::string("stm.recorded_commits_per_s.") + name] =
-        recd.ws.throughput();
-    m[std::string("stm.tapped_commits_per_s.") + name] = tapd.ws.throughput();
-    m["stm.recorded_events"] += static_cast<double>(recd.events);
-    for (const auto* t : {&bare, &recd, &tapd}) {
-      aborted += static_cast<double>(t->ws.aborted);
-      attempts += static_cast<double>(t->ws.aborted + t->ws.committed +
-                                      t->ws.abandoned);
+  // Traced: untraced rounds (the overhead baseline), then layer rounds that
+  // run each backend bare, recorded, and tapped with a span around every
+  // poll. Per-layer figures are medians per backend or totals per round.
+  write_spans(a, Tracer(), "", false);  // the children append
+  const double start = now_s();
+  do tapped_round();
+  while (now_s() - start < a.seconds * 0.4);
+  Tracer main_tr(true);  // bare runs, on this thread
+  const double untraced_eps = wall > 0 ? events / wall : 0;
+  std::map<std::string, Samples> bare_cps, rec_cps, tap_cps;
+  double traced_events = 0, traced_wall = 0;
+  double fed = 0, busy = 0, idle = 0, backlog = 0;
+  double aborted = 0, attempts = 0, recorded = 0, rounds = 0;
+  const double until = now_s() + a.seconds * 0.5;
+  do {
+    for (std::size_t b = 0; b < std::size(kTapBackends); ++b) {
+      const char* name = kTapBackends[b];
+      const std::uint64_t seed =
+          mix_seed(a.seed, 1000 * static_cast<std::uint64_t>(rounds) + 500 + b);
+      const auto bare =
+          tap_run(a, r, name, TapMode::kBare, seed, main_tr, main_tr);
+      const auto recd = isolated_tap_run(a, r, name, TapMode::kRecorded, seed);
+      const auto tapd =
+          isolated_tap_run(a, r, name, TapMode::kTappedTraced, seed);
+      bare_cps[name].add(bare.ws.throughput());
+      rec_cps[name].add(recd.ws.throughput());
+      tap_cps[name].add(tapd.ws.throughput());
+      recorded += static_cast<double>(recd.events);
+      for (const auto* t : {&bare, &recd, &tapd}) {
+        aborted += static_cast<double>(t->ws.aborted);
+        attempts += static_cast<double>(t->ws.aborted + t->ws.committed +
+                                        t->ws.abandoned);
+      }
+      if (tapd.ok) {
+        traced_events += static_cast<double>(tapd.events);
+        traced_wall += tapd.wall_s;
+      }
+      fed += static_cast<double>(tapd.events);
+      busy += tapd.busy_s;
+      idle += static_cast<double>(tapd.idle_polls);
+      backlog += static_cast<double>(tapd.backlog);
+      add_monitor_counters(r, tapd.mstats);
     }
-    events += static_cast<double>(tapd.events);
-    wall += tapd.wall_s;
-    busy += tapd.busy_s;
-    idle += static_cast<double>(tapd.idle_polls);
-    backlog += static_cast<double>(tapd.backlog);
-    add_monitor_counters(r, tapd.mstats);
+    ++rounds;
+  } while (now_s() < until);
+
+  auto& m = r.metrics;
+  for (const char* name : kTapBackends) {
+    m[std::string("stm.bare_commits_per_s.") + name] = bare_cps[name].median();
+    m[std::string("stm.recorded_commits_per_s.") + name] =
+        rec_cps[name].median();
+    m[std::string("stm.tapped_commits_per_s.") + name] =
+        tap_cps[name].median();
   }
+  // Counts are per round (every backend once), so they do not depend on
+  // how many rounds fit in the run.
+  for (const char* k :
+       {"monitor.full_checks", "monitor.graph_checks", "monitor.deferred_edges",
+        "monitor.chain_splices", "monitor.edges_added", "monitor.retired_txns",
+        "monitor.sealed_reads", "monitor.gc_passes"})
+    m[k] /= rounds;
+  m["stm.recorded_events"] = recorded / rounds;
   m["stm.abort_ratio"] = attempts > 0 ? aborted / attempts : 0;
-  m["monitor.tap_busy_s"] = busy;
-  m["monitor.tap_idle_polls"] = idle;
-  m["monitor.tap_us_per_event"] = events > 0 ? busy / events * 1e6 : 0;
-  m["monitor.tap_backlog_at_join"] = backlog;
-  set_overhead(r, round_eps.median(), wall > 0 ? events / wall : 0);
+  m["monitor.tap_busy_s"] = busy / rounds;
+  m["monitor.tap_idle_polls"] = idle / rounds;
+  m["monitor.tap_us_per_event"] = fed > 0 ? busy / fed * 1e6 : 0;
+  m["monitor.tap_backlog_at_join"] = backlog / rounds;
+  set_overhead(r, untraced_eps,
+               traced_wall > 0 ? traced_events / traced_wall : 0);
   write_spans(a, main_tr, "main", true);
 }
 
