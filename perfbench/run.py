@@ -27,7 +27,7 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-WORKLOADS = ("mond-stream", "check-offline", "live-tap")
+WORKLOADS = ("mond-stream", "check-offline", "tap-feed", "live-tap")
 
 END_TO_END = {
     "setup_s": "s",
@@ -36,7 +36,8 @@ END_TO_END = {
 }
 
 # Per-layer metric -> unit. Every traced run reports every one; a layer the
-# workload does not exercise reports 0.
+# workload does not exercise reports 0. live-tap's traced run also measures
+# the tapped STM rates; the report block lists them.
 PER_LAYER = {
     "history.parse_events_per_s": "events/s",
     "history.parse_ms": "ms",
@@ -81,9 +82,6 @@ PER_LAYER = {
     "stm.recorded_commits_per_s.tl2": "commits/s",
     "stm.recorded_commits_per_s.norec": "commits/s",
     "stm.recorded_commits_per_s.2pl-undo": "commits/s",
-    "stm.tapped_commits_per_s.tl2": "commits/s",
-    "stm.tapped_commits_per_s.norec": "commits/s",
-    "stm.tapped_commits_per_s.2pl-undo": "commits/s",
     "stm.abort_ratio": "ratio",
     "stm.recorded_events": "count",
     "trace.untraced_events_per_s": "events/s",
@@ -100,6 +98,8 @@ NAMED = {
     "check-offline": {"check_events_per_s": "events/s",
                       "check_long_ms": "ms", "check_short_ms": "ms",
                       "locate_ms": "ms", "peak_rss_mb": "MB"},
+    "tap-feed": {"tap_events_per_s": "events/s", "tap_drain_ms": "ms",
+                 "peak_rss_mb": "MB"},
     "live-tap": {"tap_events_per_s": "events/s", "tap_drain_ms": "ms",
                  "tap_events_per_s.tl2": "events/s",
                  "tap_events_per_s.norec": "events/s",
@@ -259,10 +259,16 @@ def main():
               context["load_after"], commit or "none", digest))
     for k, m in metrics.items():
         print("%-40s %22.6f %s" % (k, m["value"], m["unit"]))
-    if not args.trace:
+    if args.trace:
+        for k, v in sorted(res["metrics"].items()):
+            if k.startswith("stm.tapped_"):
+                print("%-40s %22.6f commits/s" % (k, v))
+    else:
         for k, unit in NAMED[args.workload].items():
             t = res["report"].get(k)
-            if isinstance(t, dict) and t["n"]:
+            if isinstance(t, dict) and not t["n"]:
+                print("%-40s %22s %s (no passing run)" % (k, "-", unit))
+            elif isinstance(t, dict):
                 tail = ("p%g %.6f" % (t["tail_pct"], t["tail"])
                         if t["tail_pct"] else "no percentile with 10 beyond")
                 print("%-40s %22.6f %s (median; %s; n=%d)" % (

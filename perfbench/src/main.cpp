@@ -1,13 +1,17 @@
 // perfbench — the du-opacity stack's end-to-end benchmark program.
 //
-// Three workloads, one per way users run the checker (see
-// perfbench/README.md for the metrics and why each workload exists):
+// Four workloads (see perfbench/README.md for the metrics and why each
+// workload exists):
 //
 //   mond-stream    duo_mond's production path on a pre-written trace file:
 //                  FollowReader -> IngestPipeline -> OnlineMonitor (GC on)
 //   check-offline  duo_check's single-trace path over a fixed trace set:
 //                  parse_history -> evaluate_all -> check_du_opacity ->
 //                  first_bad_prefix when rejected
+//   tap-feed       a producer thread records a pre-written trace's events
+//                  into a Recorder while a RecorderTap drains them into a
+//                  GC-on monitor, one event at a time; its traced run also
+//                  times run_random_mix bare and recorded (the stm layer)
 //   live-tap       run_random_mix on tl2, norec and 2pl-undo with a
 //                  Recorder and a RecorderTap draining into a GC-on monitor
 //
@@ -114,8 +118,12 @@ TraceShape short_shape() {
   return s;
 }
 
-// live-tap: the random mix on one deferred-update pair and one
-// direct-update backend (the paper's axis).
+// tap-feed: a trace of mond-stream's shape, shorter, so that a run holds
+// enough passes for a median.
+constexpr std::size_t kFeedEvents = 250'000;
+
+// live-tap and the stm layer: the random mix on one deferred-update pair
+// and one direct-update backend (the paper's axis).
 const char* const kTapBackends[] = {"tl2", "norec", "2pl-undo"};
 duo::stm::WorkloadOptions tap_options(std::uint64_t seed) {
   duo::stm::WorkloadOptions o;
@@ -135,10 +143,26 @@ duo::stm::WorkloadOptions tap_options(std::uint64_t seed) {
   return o;
 }
 
+// The stm layer (tap-feed's traced run): the random mix, two threads, 1000
+// transactions each, so that check_du_opacity verifies every recording in
+// milliseconds (its cost grows with the square of the transactions,
+// aborted attempts included). Two threads, because a host whose CPU quota
+// is below its hardware thread count preempts lock holders: with three
+// recording threads on such a host (probe speedup 1.0 of 4), 2pl-undo gave
+// a transaction up after 2^16 attempts in 9 of 300 runs of 5000
+// transactions per thread; with two, none in 6000 runs of 1000.
+duo::stm::WorkloadOptions stm_options(std::uint64_t seed) {
+  duo::stm::WorkloadOptions o = tap_options(seed);
+  o.threads = 2;
+  o.txns_per_thread = 1'000;
+  return o;
+}
+
 // A recorded or tapped live-tap run (normally well under a second) that has
 // not reached its verdict after this long is killed and counted as
 // undecided.
 constexpr double kTapRunTimeout = 10;
+
 // Time budget of the GC-off replay of a mismatching prefix.
 constexpr double kReplaySeconds = 3;
 
@@ -170,7 +194,8 @@ struct Args {
 [[noreturn]] void usage(const char* why) {
   std::fprintf(stderr,
                "perfbench: %s\nusage: perfbench gen|run|probe --workload "
-               "mond-stream|check-offline|live-tap --seed N [--seconds S] "
+               "mond-stream|check-offline|tap-feed|live-tap --seed N "
+               "[--seconds S] "
                "[--trace 0|1] [--out-dir DIR]\n",
                why);
   std::exit(2);
@@ -269,6 +294,9 @@ int cmd_gen(const Args& a) {
       emit("check-" + tag + "-" + std::to_string(n) + ".txt", "short",
            generate_trace(short_shape(), mix_seed(a.seed, 100 + n),
                           kShortEvents));
+  } else if (a.workload == "tap-feed") {
+    emit("feed-" + tag + ".txt", "feed",
+         generate_trace(stream_shape(), mix_seed(a.seed, 2), kFeedEvents));
   } else if (a.workload != "live-tap") {
     usage("unknown workload");
   }
@@ -1328,6 +1356,226 @@ void run_tap(const Args& a, Result& r) {
   write_spans(a, main_tr, "main", true);
 }
 
+// -- tap-feed ----------------------------------------------------------------
+
+struct FeedPass {
+  double setup_s = 0;
+  double wall_s = 0;   // producer start to final verdict
+  double drain_s = 0;  // producer done to final verdict
+  double busy_s = 0;   // inside poll() calls that fed events
+  std::size_t idle_polls = 0;
+  std::size_t backlog = 0;  // estimated events not yet fed at join
+  duo::monitor::MonitorStats mstats;
+};
+
+/// One tap-feed pass: a producer thread records the trace's events into a
+/// Recorder while this thread drains it through a RecorderTap into a GC-on
+/// monitor, as live-tap's tap thread does. Checks the verdict (yes, every
+/// event fed).
+FeedPass feed_pass(Result& r, const std::vector<duo::history::Event>& events,
+                   Tracer& tr) {
+  FeedPass p;
+  const double t0 = now_s();
+  duo::stm::Recorder rec(events.size());
+  duo::monitor::MonitorOptions mo;
+  mo.gc = true;
+  duo::monitor::OnlineMonitor mon(mo);
+  duo::monitor::RecorderTap tap(rec, mon);
+  const double t1 = now_s();
+  p.setup_s = t1 - t0;
+
+  std::atomic<bool> done{false};
+  double produced = 0;  // written before `done`, read after it
+  std::thread producer([&] {
+    for (const auto& e : events) rec.record(e);
+    produced = now_s();
+    done.store(true, std::memory_order_release);
+  });
+  for (;;) {
+    const bool finished = done.load(std::memory_order_acquire);
+    const double p0 = now_s();
+    const std::uint32_t id = tr.open("monitor.tap_poll");
+    const std::size_t fed = tap.poll();
+    tr.close(id);
+    if (fed > 0) {
+      p.busy_s += now_s() - p0;
+      continue;
+    }
+    ++p.idle_polls;
+    if (finished) break;
+    std::this_thread::yield();
+  }
+  const double t2 = now_s();
+  producer.join();
+  p.wall_s = t2 - t1;
+  p.drain_s = t2 - produced;
+  // The producer outpaces the tap, so one poll() spans most of the pass and
+  // the position at join is not observable; as on live-tap, estimate the
+  // backlog from the drain time.
+  if (p.busy_s > 0)
+    p.backlog = static_cast<std::size_t>(p.drain_s * events.size() / p.busy_s);
+  p.mstats = mon.stats();
+
+  ++r.attempted;
+  if (tap.qualified_verdict() != Verdict::kYes ||
+      tap.position() != events.size())
+    r.fail("tap-feed: verdict " +
+           duo::checker::to_string(tap.qualified_verdict()) + " after " +
+           std::to_string(tap.position()) + " of " +
+           std::to_string(events.size()) + " events" +
+           (mon.first_violation()
+                ? " (latched at event " +
+                      std::to_string(*mon.first_violation()) + ": " +
+                      mon.explanation() + ")"
+                : std::string()));
+  return p;
+}
+
+/// The stm layer: run_random_mix on each backend, bare and recorded, for
+/// about `seconds`. Each run is checked (every logical transaction
+/// commits), and each recording is verified by check_du_opacity on the
+/// recorded history (not by the monitor: live-tap measures that, and the
+/// monitor's known defects on such recordings, GC on or off, are reported
+/// there).
+void stm_layers(const Args& a, Result& r, Tracer& tr, double seconds) {
+  std::map<std::string, Samples> bare_cps, rec_cps;
+  double aborted = 0, attempts = 0, recorded = 0, rounds = 0;
+  const auto account = [&](const duo::stm::WorkloadStats& ws) {
+    aborted += static_cast<double>(ws.aborted);
+    attempts +=
+        static_cast<double>(ws.aborted + ws.committed + ws.abandoned);
+  };
+  const double until = now_s() + seconds;
+  do {
+    for (std::size_t b = 0; b < std::size(kTapBackends); ++b) {
+      const char* name = kTapBackends[b];
+      const auto wo = stm_options(
+          mix_seed(a.seed, 1000 * static_cast<std::uint64_t>(rounds) + b));
+      duo::stm::WorkloadStats ws;
+      {
+        auto stm = duo::stm::make_stm(name, wo.objects);
+        timed(tr, "stm.run_random_mix", 0,
+              [&] { ws = duo::stm::run_random_mix(*stm, wo); });
+      }
+      check_mix(r, name, wo, ws);
+      account(ws);
+      bare_cps[name].add(ws.throughput());
+
+      // A transaction records 2 events per op plus tryC; aborted attempts
+      // add more. Overflow would leave the verdict open: a failure.
+      duo::stm::Recorder rec(wo.threads * wo.txns_per_thread *
+                             (2 * wo.ops_per_txn + 2) * 6);
+      {
+        auto stm = duo::stm::make_stm(name, wo.objects, &rec);
+        timed(tr, "stm.run_random_mix", 0,
+              [&] { ws = duo::stm::run_random_mix(*stm, wo); });
+      }
+      check_mix(r, name, wo, ws);
+      account(ws);
+      rec_cps[name].add(ws.throughput());
+      recorded += static_cast<double>(rec.count());
+
+      std::vector<duo::history::Event> events(rec.count());
+      for (std::size_t i = 0; i < events.size(); ++i)
+        (void)rec.try_read(i, events[i]);
+      std::optional<duo::history::History> h;
+      timed(tr, "history.make", 0, [&] {
+        auto made = duo::history::History::make(std::move(events), wo.objects);
+        if (made) h = std::move(made).take();
+      });
+      Verdict v = Verdict::kUnknown;
+      if (h)
+        timed(tr, "checker.check_du_opacity", 0,
+              [&] { v = duo::checker::check_du_opacity(*h).verdict; });
+      ++r.attempted;
+      if (!h || rec.overflowed() || v != Verdict::kYes)
+        r.fail(std::string("stm layer: ") + name + ": recording " +
+               (!h ? "not well-formed"
+                   : rec.overflowed() ? "overflowed"
+                                      : "judged " + duo::checker::to_string(v)));
+    }
+    ++rounds;
+  } while (now_s() < until);
+
+  auto& m = r.metrics;
+  for (const char* name : kTapBackends) {
+    m[std::string("stm.bare_commits_per_s.") + name] = bare_cps[name].median();
+    m[std::string("stm.recorded_commits_per_s.") + name] =
+        rec_cps[name].median();
+  }
+  m["stm.abort_ratio"] = attempts > 0 ? aborted / attempts : 0;
+  // Per round (every backend once), so it does not depend on how many
+  // rounds fit in the run.
+  m["stm.recorded_events"] = recorded / rounds;
+}
+
+void run_feed(const Args& a, Result& r) {
+  const std::vector<Input> inputs = load_manifest(a);
+  if (inputs.size() != 1) usage("bad tap-feed manifest");
+  const Input& in = inputs[0];
+  // Input preparation, not timed: the events the producer records.
+  const auto text = read_file(in.path);
+  if (!text) usage("missing trace file");
+  auto parsed = duo::history::parse_events(*text);
+  if (!parsed) usage("trace does not parse");
+  const std::vector<duo::history::Event> events =
+      std::move(parsed).take().events;
+  if (events.size() != in.events) usage("trace event count mismatch");
+
+  Samples setup, eps, drain_ms;
+  const auto untraced = [&](double seconds) {
+    Tracer off;
+    const double until = now_s() + seconds;
+    do {
+      const FeedPass p = feed_pass(r, events, off);
+      setup.add(p.setup_s);
+      eps.add(static_cast<double>(events.size()) / p.wall_s);
+      drain_ms.add(p.drain_s * 1e3);
+    } while (now_s() < until);
+  };
+
+  if (!a.trace) {
+    untraced(a.seconds);
+    r.metrics["setup_s"] = setup.median();
+    r.metrics["events_per_s"] = eps.median();
+    r.metrics["verdict_ms"] = drain_ms.median();
+    report_timing(r, "tap_events_per_s", eps);
+    report_timing(r, "tap_drain_ms", drain_ms);
+    r.report.num("peak_rss_mb", peak_rss_mb());
+    r.report.integer("trace_events", in.events);
+    return;
+  }
+
+  // Traced: untraced passes (the overhead baseline), traced passes with a
+  // span around every poll, then the stm layer.
+  {
+    Tracer off;
+    (void)feed_pass(r, events, off);  // warm-up
+  }
+  untraced(a.seconds * 0.3);
+  Tracer tr(true);
+  Samples traced_eps, busy, idle, backlog;
+  double fed = 0;
+  const double until = now_s() + a.seconds * 0.3;
+  do {
+    const FeedPass p = feed_pass(r, events, tr);
+    traced_eps.add(static_cast<double>(events.size()) / p.wall_s);
+    busy.add(p.busy_s);
+    idle.add(static_cast<double>(p.idle_polls));
+    backlog.add(static_cast<double>(p.backlog));
+    fed += static_cast<double>(events.size());
+    if (traced_eps.size() == 1) add_monitor_counters(r, p.mstats);
+  } while (now_s() < until);
+  auto& m = r.metrics;
+  m["monitor.tap_busy_s"] = busy.median();
+  m["monitor.tap_idle_polls"] = idle.median();
+  m["monitor.tap_us_per_event"] = fed > 0 ? busy.sum() / fed * 1e6 : 0;
+  m["monitor.tap_backlog_at_join"] = backlog.median();
+  set_overhead(r, eps.median(), traced_eps.median());
+  stm_layers(a, r, tr, a.seconds * 0.3);
+  write_spans(a, tr, "main", false);
+}
+
 // -- machine probe -----------------------------------------------------------
 
 int cmd_probe() {
@@ -1370,6 +1618,8 @@ int cmd_run(const Args& a) {
     run_stream(a, r);
   else if (a.workload == "check-offline")
     run_check(a, r);
+  else if (a.workload == "tap-feed")
+    run_feed(a, r);
   else if (a.workload == "live-tap")
     run_tap(a, r);
   else
