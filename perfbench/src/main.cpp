@@ -1007,6 +1007,27 @@ void check_mix(Result& r, const char* backend,
            " transactions");
 }
 
+/// RecorderTap::pump with a span around every poll: drains `tap` until
+/// `done` is seen and nothing is left, adding the time spent in polls that
+/// fed events to `busy_s` and counting the polls that fed none.
+void traced_pump(duo::monitor::RecorderTap& tap, const std::atomic<bool>& done,
+                 Tracer& tr, double& busy_s, std::size_t& idle_polls) {
+  for (;;) {
+    const bool finished = done.load(std::memory_order_acquire);
+    const double p0 = now_s();
+    const std::uint32_t id = tr.open("monitor.tap_poll");
+    const std::size_t fed = tap.poll();
+    tr.close(id);
+    if (fed > 0) {
+      busy_s += now_s() - p0;
+      continue;
+    }
+    ++idle_polls;
+    if (finished) return;
+    std::this_thread::yield();
+  }
+}
+
 /// One run_random_mix on `backend`: bare, recorded (the recording is then
 /// checked by draining it into the monitor), or recorded with a tap thread
 /// feeding the monitor live. The monitor runs with GC on, as duo_mond's
@@ -1052,20 +1073,7 @@ TapRun tap_run(const Args& a, Result& r, const char* backend, TapMode mode,
         tap.pump(done);
         return;
       }
-      for (;;) {
-        const bool finished = done.load(std::memory_order_acquire);
-        const double p0 = now_s();
-        const std::uint32_t id = tap_tr.open("monitor.tap_poll");
-        const std::size_t fed = tap.poll();
-        tap_tr.close(id);
-        if (fed > 0) {
-          t.busy_s += now_s() - p0;
-          continue;
-        }
-        ++t.idle_polls;
-        if (finished) return;
-        std::this_thread::yield();
-      }
+      traced_pump(tap, done, tap_tr, t.busy_s, t.idle_polls);
     });
     run_mix(*stm);
     const double joined = now_s();
@@ -1391,20 +1399,7 @@ FeedPass feed_pass(Result& r, const std::vector<duo::history::Event>& events,
     produced = now_s();
     done.store(true, std::memory_order_release);
   });
-  for (;;) {
-    const bool finished = done.load(std::memory_order_acquire);
-    const double p0 = now_s();
-    const std::uint32_t id = tr.open("monitor.tap_poll");
-    const std::size_t fed = tap.poll();
-    tr.close(id);
-    if (fed > 0) {
-      p.busy_s += now_s() - p0;
-      continue;
-    }
-    ++p.idle_polls;
-    if (finished) break;
-    std::this_thread::yield();
-  }
+  traced_pump(tap, done, tr, p.busy_s, p.idle_polls);
   const double t2 = now_s();
   producer.join();
   p.wall_s = t2 - t1;
