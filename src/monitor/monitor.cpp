@@ -1,6 +1,7 @@
 #include "monitor/monitor.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <sstream>
 #include <tuple>
 
@@ -84,7 +85,10 @@ std::size_t OnlineMonitor::txn_index(TxnId id) {
   txns_[k].start_index = total_events_;  // the current event's index
   max_txn_id_seen_ = std::max(max_txn_id_seen_, id);
   tix_of_.emplace(id, k);
-  if (opts_.gc) open_txns_.emplace_back(k, total_events_);
+  if (opts_.gc) {
+    open_txns_.emplace_back(k, total_events_);
+    gc_candidates_.push_back(k);
+  }
   return k;
 }
 
@@ -529,6 +533,7 @@ std::size_t OnlineMonitor::prescan(const Event* events, std::size_t n,
     }
 
     Slot& b = emit(Slot::Kind::kBoundary);
+    b.tix = k;
     b.index = index;
     b.event_pos = i;
     b.nonuw = nonuw_;
@@ -742,6 +747,9 @@ std::size_t OnlineMonitor::apply_slots(const Event* events) {
         break;
       case Slot::Kind::kBoundary: {
         events_.push_back(events[s.event_pos]);
+        if (opts_.gc)
+          log_stamps_.push_back(LogStamp{s.tix, txns_[s.tix].start_index});
+        ++txns_[s.tix].num_events;
         ++stats_.events;
         consumed = s.event_pos + 1;
         if (s.frozen) {
@@ -782,7 +790,7 @@ std::size_t OnlineMonitor::apply_slots(const Event* events) {
               if (op.delta > 0)
                 ++txns_[op.a].antidep_in;
               else
-                --txns_[op.a].antidep_in;
+                release_pin(op.a);
               break;
           }
         }
@@ -854,6 +862,15 @@ bool OnlineMonitor::txn_settled(std::size_t tix, std::size_t horizon) const {
   return true;
 }
 
+void OnlineMonitor::release_pin(std::size_t tix) {
+  Txn& t = txns_[tix];
+  DUO_ASSERT(t.antidep_in > 0);
+  if (--t.antidep_in == 0 && t.parked) {
+    t.parked = false;
+    gc_candidates_.push_back(tix);
+  }
+}
+
 void OnlineMonitor::retire_read(std::size_t rid) {
   Read& r = reads_[rid];
   if (r.is_initial) {
@@ -872,7 +889,7 @@ void OnlineMonitor::retire_read(std::size_t rid) {
     const auto svit = sealed_versions_.find({r.obj, r.value});
     DUO_ASSERT(svit != sealed_versions_.end() && svit->second.refs > 0);
     if (--svit->second.refs == 0) sealed_versions_.erase(svit);
-    if (r.antidep != kNone) --txns_[r.antidep].antidep_in;
+    if (r.antidep != kNone) release_pin(r.antidep);
   } else {
     const auto rit = reads_of_.find({r.obj, r.value});
     DUO_ASSERT(rit != reads_of_.end());
@@ -896,7 +913,7 @@ void OnlineMonitor::retire_read(std::size_t rid) {
       olst.erase(std::find(olst.begin(), olst.end(), rid));
       if (olst.empty()) os.rf.erase(oit);
     }
-    if (r.antidep != kNone) --txns_[r.antidep].antidep_in;
+    if (r.antidep != kNone) release_pin(r.antidep);
   }
   reads_[rid].reset();
   free_reads_.push_back(rid);
@@ -971,12 +988,16 @@ void OnlineMonitor::retire_txn(std::size_t tix) {
   stats_.edges_removed += graph_.retire_node(t.node);
   tix_of_.erase(t.id);
   ++stats_.retired_txns;
+  // Its events stay in the log, dead, until run_gc compacts it.
+  dead_events_ += t.num_events;
+  stats_.retired_events += t.num_events;
   t.reset();
   t.start_index = kNone;  // poison stale open_txns_ entries
   free_txns_.push_back(tix);
 }
 
 void OnlineMonitor::run_gc() {
+  const auto started = std::chrono::steady_clock::now();
   ++stats_.gc_passes;
   const std::size_t horizon = live_horizon();
   // Retiring one transaction only removes references, so it cannot
@@ -985,19 +1006,29 @@ void OnlineMonitor::run_gc() {
   // never settle, so every settled member keeps a successor to bridge to).
   // It CAN unblock one — a retired reader releases its anti-dependency pin
   // on the next writer, or drops the initial-value read that pinned a
-  // chain — so the sweep is a worklist: every live transaction is checked
-  // once, and each retirement re-enqueues exactly the transactions it may
-  // have unlocked. Read-modify-write chains drain fully in one pass this
-  // way, without the quadratic rescan-all-per-generation fixpoint.
+  // chain — so the sweep is a worklist: each seed is checked once, and each
+  // retirement re-enqueues exactly the transactions it may have unlocked.
+  // Read-modify-write chains drain fully in one pass this way, without the
+  // quadratic rescan-all-per-generation fixpoint.
   //
-  // Seeded by slot index (a slot is live iff its start_index is not the
-  // retirement poison), which keeps the sweep order — and therefore every
-  // stat — deterministic now that tix_of_ is an unordered map.
+  // The seeds are every live slot except the parked ones, in ascending slot
+  // order (popped from the back), which keeps the sweep order — and
+  // therefore every stat — deterministic. Leaving parked slots out changes
+  // nothing: a parked slot is pinned (antidep_in > 0) at the start of the
+  // pass, only a retirement in this pass can unpin it, and that retirement
+  // pushes it — so wherever its seed entry would have been popped, it is
+  // either still pinned or already retired: the sweep makes exactly the
+  // retirements, in exactly the order, that seeding every live slot would.
+  std::vector<std::size_t> seeds;
+  seeds.swap(gc_candidates_);
+  // Survivors are already ascending; only appended slots can break order.
+  if (!std::is_sorted(seeds.begin(), seeds.end()))
+    std::sort(seeds.begin(), seeds.end());
+  seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
   std::vector<std::size_t> work;
-  work.reserve(tix_of_.size());
-  for (std::size_t tix = 0; tix < txns_.size(); ++tix)
+  work.reserve(seeds.size());
+  for (const std::size_t tix : seeds)
     if (txns_[tix].start_index != kNone) work.push_back(tix);
-  bool retired_any = false;
   while (!work.empty()) {
     const std::size_t tix = work.back();
     work.pop_back();
@@ -1016,19 +1047,38 @@ void OnlineMonitor::run_gc() {
           work.push_back(m.tix);
     }
     retire_txn(tix);
-    retired_any = true;
   }
-  if (retired_any) {
-    // Compact the retained event log. This runs before any further event is
-    // fed, so a retired id cannot yet have been reused and membership in
-    // tix_of_ identifies retained events.
-    const std::size_t before = events_.size();
-    std::erase_if(events_,
-                  [this](const Event& ev) { return !tix_of_.contains(ev.txn); });
-    stats_.retired_events += before - events_.size();
+  // Park the pinned survivors; the rest seed the next pass. (Slots unpinned
+  // during this pass were re-seeded by release_pin already.)
+  for (const std::size_t tix : seeds) {
+    Txn& t = txns_[tix];
+    if (t.start_index == kNone) continue;  // retired
+    if (t.antidep_in > 0)
+      t.parked = true;
+    else
+      gc_candidates_.push_back(tix);
   }
+  if (dead_events_ > 0 && 2 * dead_events_ >= events_.size()) compact_log();
   gc_trigger_ =
       total_events_ + std::max<std::size_t>(opts_.gc_retain_events / 2, 1);
+  stats_.gc_ns += static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - started)
+          .count());
+}
+
+void OnlineMonitor::compact_log() {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < events_.size(); ++i) {
+    if (!event_live(i)) continue;
+    events_[kept] = events_[i];
+    log_stamps_[kept] = log_stamps_[i];
+    ++kept;
+  }
+  DUO_ASSERT(kept + dead_events_ == events_.size());
+  events_.resize(kept);
+  log_stamps_.resize(kept);
+  dead_events_ = 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -1106,21 +1156,22 @@ util::Result<Verdict> OnlineMonitor::feed(const Event& e) {
 }
 
 History OnlineMonitor::history_at(ObjId num_objects, TxnId synth_base) const {
-  if (sealed_versions_.empty())
+  if (sealed_versions_.empty() && dead_events_ == 0)
     return std::move(History::make(events_, num_objects)).value_or_die();
   // Retained reads may still be resolved to versions whose writers were
   // retired (sealed). Re-materialize each such version as one synthetic
   // committed writer prepended before the retained suffix, in install-rank
   // order: ranks follow true completion order, so the preamble's real-time
   // relation among these writers — and their precedence over everything
-  // retained — matches the original history's.
+  // retained — matches the original history's. Dead log entries (retired
+  // transactions' events awaiting compaction) are skipped.
   std::vector<std::tuple<std::uint64_t, ObjId, Value>> versions;
   versions.reserve(sealed_versions_.size());
   for (const auto& [key, sv] : sealed_versions_)
     versions.emplace_back(sv.rank, key.first, key.second);
   std::sort(versions.begin(), versions.end());
   std::vector<Event> with_preamble;
-  with_preamble.reserve(4 * versions.size() + events_.size());
+  with_preamble.reserve(4 * versions.size() + retained_events());
   TxnId synth = synth_base;
   for (const auto& [rank, x, v] : versions) {
     (void)rank;
@@ -1130,7 +1181,8 @@ History OnlineMonitor::history_at(ObjId num_objects, TxnId synth_base) const {
     with_preamble.push_back(Event::inv_tryc(synth));
     with_preamble.push_back(Event::resp_commit(synth));
   }
-  with_preamble.insert(with_preamble.end(), events_.begin(), events_.end());
+  for (std::size_t i = 0; i < events_.size(); ++i)
+    if (dead_events_ == 0 || event_live(i)) with_preamble.push_back(events_[i]);
   return std::move(History::make(with_preamble, num_objects)).value_or_die();
 }
 

@@ -135,6 +135,7 @@
 // executions and the trace parser.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
@@ -179,9 +180,12 @@ struct MonitorOptions {
   /// indefinite streams. Off by default: with GC on, history() returns
   /// only the retained event subsequence.
   bool gc = false;
-  /// GC pacing: a collection pass runs once the retained event count grows
-  /// past the last pass's count by max(gc_retain_events / 2, 1). 0 runs a
-  /// pass after every event (for tests; O(live) scan per event).
+  /// GC pacing, counted in events fed (retained or not): the first pass
+  /// runs once gc_retain_events events have been fed, each later one once
+  /// max(gc_retain_events / 2, 1) more have been fed since the previous
+  /// pass. Passes run only at batch ends where the fast path is live; a
+  /// pass that falls due elsewhere waits for the next such batch end. 0
+  /// runs a pass after every event (for tests).
   std::size_t gc_retain_events = 4096;
   /// Object shards for the parallel derive phase of feed_batch: per-object
   /// state belongs to shard ObjId % shards. 1 (the default) derives on the
@@ -216,6 +220,9 @@ struct MonitorStats {
   std::size_t retired_txns = 0;
   std::size_t retired_events = 0;
   std::size_t sealed_reads = 0;
+  /// Cumulative wall time inside GC passes, in nanoseconds (one clock
+  /// reading pair per pass, none per event; 0 with GC off).
+  std::uint64_t gc_ns = 0;
   /// True when kNo was latched by the incremental tier itself (an
   /// event-local rejection) rather than by the fallback check.
   bool latched_by_fast_path = false;
@@ -269,7 +276,9 @@ class OnlineMonitor {
 
   /// Observability for long-running service use (duo_mond stats dumps and
   /// the flat-memory regression tests): the RSS-proxy resident state.
-  std::size_t retained_events() const noexcept { return events_.size(); }
+  std::size_t retained_events() const noexcept {
+    return events_.size() - dead_events_;
+  }
   std::size_t live_transactions() const noexcept { return tix_of_.size(); }
   std::size_t graph_nodes() const noexcept { return graph_.num_live_nodes(); }
   std::size_t graph_edges() const noexcept { return graph_.num_edges(); }
@@ -322,6 +331,13 @@ class OnlineMonitor {
     /// Retained reads whose anti-dependency edge currently targets this
     /// transaction; non-zero blocks retirement.
     std::size_t antidep_in = 0;
+    /// Parked: left out of the GC sweep's seeds because it failed
+    /// settlement with antidep_in > 0; release_pin re-seeds it when the
+    /// count drops to zero. Implies antidep_in > 0.
+    bool parked = false;
+    /// Events of this transaction in the retained log (they turn dead at
+    /// retirement).
+    std::size_t num_events = 0;
 
     /// Clears for slot reuse, keeping vector capacities (a retired slot's
     /// arrays regrow to working-set size instead of reallocating).
@@ -343,6 +359,8 @@ class OnlineMonitor {
       completion_seq = kNone;
       my_reads.clear();
       antidep_in = 0;
+      parked = false;
+      num_events = 0;
     }
   };
 
@@ -531,17 +549,38 @@ class OnlineMonitor {
   // only between batches, where the coordinator owns all shard state.
   std::size_t live_horizon();
   bool txn_settled(std::size_t tix, std::size_t horizon) const;
+  /// Drops one anti-dependency pin on `tix`, re-seeding it if parked.
+  void release_pin(std::size_t tix);
   void retire_read(std::size_t rid);
   void retire_txn(std::size_t tix);
   void run_gc();
+  /// Whether retained-log entry i belongs to a live transaction (its
+  /// owner's slot still holds the transaction that logged it).
+  bool event_live(std::size_t i) const {
+    const LogStamp& st = log_stamps_[i];
+    return txns_[st.tix].start_index == st.start;
+  }
+  void compact_log();
 
   MonitorOptions opts_;
   std::size_t num_shards_ = 1;
   ObjId num_objects_ = 0;
   /// Retained events, in feed order. Without GC this is every event ever
-  /// fed; with GC, retired transactions' events are compacted away and
-  /// total_events_ keeps the absolute count (and index convention).
+  /// fed; with GC, retired transactions' events turn dead and are
+  /// compacted away lazily, once they make up half the log, so compaction
+  /// costs O(1) amortized per retired event. total_events_ keeps the
+  /// absolute count (and index convention).
   std::vector<Event> events_;
+  /// GC only: the owner of each events_ entry as (slot, start index). A
+  /// retired slot's start index is poisoned and a reused slot's is larger,
+  /// so the stamp identifies the logging transaction even after its id is
+  /// reused by a later one.
+  struct LogStamp {
+    std::size_t tix = 0;
+    std::size_t start = 0;
+  };
+  std::vector<LogStamp> log_stamps_;
+  std::size_t dead_events_ = 0;  // events_ entries of retired transactions
   std::size_t total_events_ = 0;
   std::vector<Txn> txns_;
   std::unordered_map<TxnId, std::size_t> tix_of_;
@@ -586,6 +625,10 @@ class OnlineMonitor {
   /// finished or reused entries) is the earliest-started unfinished
   /// transaction, whose start index is the GC live horizon H.
   std::deque<std::pair<std::size_t, std::size_t>> open_txns_;
+  /// The next GC sweep's seeds: every live slot not parked (new slots and
+  /// re-seeded ones are appended; may hold stale or duplicate entries,
+  /// which the sweep drops).
+  std::vector<std::size_t> gc_candidates_;
   std::size_t gc_trigger_ = 0;
   /// Versions written by retired writers that retained sealed reads still
   /// reference: (obj, value) -> (install rank, referencing sealed reads).

@@ -184,6 +184,7 @@ std::string format_stats_line(const PipelineSnapshot& snap,
        << ",\"nonuw_debt\":" << snap.nonuw_debt               //
        << ",\"gc_passes\":" << snap.gc_passes                 //
        << ",\"sealed_reads\":" << snap.sealed_reads           //
+       << ",\"gc_ns\":" << snap.gc_ns                         //
        << ",\"full_checks\":" << snap.full_checks;
     // 0 means /proc/self/status was unavailable (non-Linux or a restricted
     // sandbox), not a zero-byte peak; the key is omitted rather than
@@ -200,7 +201,7 @@ std::string format_stats_line(const PipelineSnapshot& snap,
        << " retained=" << snap.retained_events
        << " nodes=" << snap.graph_nodes << " edges=" << snap.graph_edges
        << " pending=" << snap.pending_edges << " nonuw=" << snap.nonuw_debt
-       << " gc=" << snap.gc_passes;
+       << " gc=" << snap.gc_passes << " gc_ns=" << snap.gc_ns;
     if (hwm_kb != 0) ss << " hwm_kb=" << hwm_kb;
   }
   return ss.str();

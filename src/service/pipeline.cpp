@@ -170,6 +170,7 @@ PipelineSnapshot IngestPipeline::snapshot() const {
   s.retired_txns = monitor_.stats().retired_txns;
   s.sealed_reads = monitor_.stats().sealed_reads;
   s.gc_passes = monitor_.stats().gc_passes;
+  s.gc_ns = monitor_.stats().gc_ns;
   s.full_checks = monitor_.stats().full_checks;
   {
     util::MutexLock qlock(queue_mutex_);

@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <optional>
@@ -92,6 +93,7 @@ struct PipelineSnapshot {
   std::size_t retired_txns = 0;
   std::size_t sealed_reads = 0;
   std::size_t gc_passes = 0;
+  std::uint64_t gc_ns = 0;
   std::size_t full_checks = 0;
 };
 

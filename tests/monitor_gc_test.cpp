@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "gen/generator.hpp"
@@ -99,6 +100,62 @@ TEST(MonitorGc, RetiresSettledWritersAndCompactsEvents) {
   EXPECT_EQ(mon.stats().retired_events, 8u);
   // The retained subsequence is a well-formed, du-opaque history.
   EXPECT_EQ(mon.history().size(), 8u);
+}
+
+TEST(MonitorGc, ReusedTxnIdAfterRetirementKeepsRetiredEventsOut) {
+  // The four-writer X0 chain retires T1 and T2. Two X1 writers come first
+  // and stay (the chain tail never settles), so the 8 retired events are
+  // only a third of the log and stay in it, dead, until a later
+  // compaction. A new transaction then reuses id 1: its events must join
+  // the retained history and the retired T1's must not come back, neither
+  // in history() nor through the compaction that follows.
+  const auto parse = [](const char* text) {
+    return history::parse_history_or_die(text).events();
+  };
+  OnlineMonitor mon(gc_options());
+  const auto feed_all = [&mon](const std::vector<Event>& events) {
+    for (const Event& e : events) {
+      const auto fed = mon.feed(e);
+      ASSERT_TRUE(fed.has_value()) << fed.error();
+      ASSERT_EQ(fed.value(), Verdict::kYes);
+    }
+  };
+  feed_all(parse("W5(X1,10) C5 W6(X1,11) C6 "
+                 "W1(X0,1) C1 W2(X0,2) C2 W3(X0,3) C3 W4(X0,4) C4"));
+  ASSERT_EQ(mon.stats().retired_txns, 2u);
+  EXPECT_EQ(mon.stats().retired_events, 8u);
+  EXPECT_EQ(mon.retained_events(), 16u);
+
+  feed_all(parse("W1(X2,5) C1"));
+  EXPECT_EQ(mon.history().events(),
+            parse("W5(X1,10) C5 W6(X1,11) C6 W3(X0,3) C3 W4(X0,4) C4 "
+                  "W1(X2,5) C1"));
+  EXPECT_EQ(mon.retained_events(), 20u);
+  EXPECT_EQ(mon.live_transactions(), 5u);
+
+  // Three more X0 writers retire T3, T4 and T7: dead events reach half the
+  // log, which compacts it with the reused id live again.
+  feed_all(parse("W7(X0,6) C7 W8(X0,7) C8 W9(X0,8) C9"));
+  EXPECT_EQ(mon.stats().retired_txns, 5u);
+  EXPECT_EQ(mon.stats().retired_events, 20u);
+  EXPECT_EQ(mon.history().events(),
+            parse("W5(X1,10) C5 W6(X1,11) C6 W1(X2,5) C1 W8(X0,7) C8 "
+                  "W9(X0,8) C9"));
+  EXPECT_EQ(mon.retained_events(), 20u);
+}
+
+TEST(MonitorGc, GcTimeIsRecordedPerPass) {
+  const auto h = history::parse_history_or_die(
+      "W1(X0,1) C1 W2(X0,2) C2 W3(X0,3) C3 W4(X0,4) C4");
+  OnlineMonitor off;
+  OnlineMonitor on(gc_options());
+  for (const auto& e : h.events()) {
+    ASSERT_TRUE(off.feed(e).has_value());
+    ASSERT_TRUE(on.feed(e).has_value());
+  }
+  EXPECT_EQ(off.stats().gc_ns, 0u);
+  ASSERT_GT(on.stats().gc_passes, 0u);
+  EXPECT_GT(on.stats().gc_ns, 0u);
 }
 
 TEST(MonitorGc, StaleReadOfRetiredValueLatchesAtTheSameIndex) {
@@ -232,6 +289,118 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<stm::BackendInfo>& info) {
       return stm::test_identifier(info.param);
     });
+
+// -- pinned GC decisions -----------------------------------------------------
+
+// Exact GC counters on fixed inputs, recorded from the monitor whose sweep
+// seeded every live transaction on every pass. The sweep may skip work,
+// never change a decision: a worklist that misses a transaction that could
+// settle changes retired_txns, and one that retires in a different order
+// changes sealed_reads (a writer retired before its reader seals the
+// reader's read; the reader retired first does not).
+struct GcCounters {
+  std::size_t gc_passes = 0;
+  std::size_t retired_txns = 0;
+  std::size_t retired_events = 0;
+  std::size_t sealed_reads = 0;
+  std::size_t live_transactions = 0;
+  std::size_t retained_events = 0;
+  bool operator==(const GcCounters&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const GcCounters& c) {
+  return os << "{passes " << c.gc_passes << ", retired " << c.retired_txns
+            << ", retired events " << c.retired_events << ", sealed "
+            << c.sealed_reads << ", live " << c.live_transactions
+            << ", retained " << c.retained_events << "}";
+}
+
+/// Feeds `events` one at a time (whole_batch false) or as one feed_batch
+/// call, GC on with the given pacing.
+GcCounters gc_counters(const std::vector<Event>& events, std::size_t retain,
+                       bool whole_batch) {
+  OnlineMonitor mon(gc_options(retain));
+  if (whole_batch) {
+    const auto out = mon.feed_batch(events.data(), events.size());
+    EXPECT_EQ(out.consumed, events.size());
+  } else {
+    for (const Event& e : events) EXPECT_TRUE(mon.feed(e).has_value());
+  }
+  EXPECT_EQ(mon.verdict(), Verdict::kYes);
+  const MonitorStats& st = mon.stats();
+  return GcCounters{st.gc_passes,    st.retired_txns,
+                    st.retired_events, st.sealed_reads,
+                    mon.live_transactions(), mon.retained_events()};
+}
+
+/// The unique-writes sweep generator at 400 transactions, each of which
+/// finishes (a transaction left running would pin the horizon for good).
+std::vector<Event> finishing_sweep_history(std::uint64_t seed) {
+  util::Xoshiro256 rng(seed * 977 + 5);
+  gen::GenOptions opts;
+  opts.num_txns = 12;
+  opts.num_objects = 3;
+  opts.unique_writes = true;
+  (void)gen::random_du_history(opts, rng);  // the sweep's first history
+  opts.num_txns = 400;
+  opts.leave_running_prob = 0;
+  opts.commit_pending_prob = 0;
+  opts.drop_last_response_prob = 0;
+  return gen::random_du_history(opts, rng).events();
+}
+
+TEST(MonitorGcPinned, SweepHistories) {
+  const struct {
+    std::uint64_t seed;
+    GcCounters per_event, whole_batch;
+  } cases[] = {
+      {3, {2570, 396, 2532, 5, 4, 38}, {1, 396, 2532, 4, 4, 38}},
+      {7, {2620, 396, 2580, 4, 4, 40}, {1, 396, 2580, 1, 4, 40}},
+      {11, {2564, 397, 2538, 9, 3, 26}, {1, 397, 2538, 3, 3, 26}},
+  };
+  for (const auto& c : cases) {
+    const auto events = finishing_sweep_history(c.seed);
+    EXPECT_EQ(gc_counters(events, 0, false), c.per_event) << c.seed;
+    EXPECT_EQ(gc_counters(events, 0, true), c.whole_batch) << c.seed;
+  }
+}
+
+TEST(MonitorGcPinned, InterleavedLiveRun) {
+  // Eight interleaved read-modify-write threads: pinned writers, sealed
+  // reads and multi-generation unlocks in every pass.
+  const auto events = gen::deterministic_live_run(20000, 8, 64).events();
+  ASSERT_EQ(events.size(), 20016u);
+  EXPECT_EQ(gc_counters(events, 0, false),
+            (GcCounters{20016, 3196, 19176, 1487, 140, 840}));
+  EXPECT_EQ(gc_counters(events, 64, false),
+            (GcCounters{624, 3190, 19140, 1505, 146, 876}));
+  EXPECT_EQ(gc_counters(events, 0, true),
+            (GcCounters{1, 3196, 19176, 872, 140, 840}));
+}
+
+TEST(MonitorGcPinned, RegistryRecording) {
+  // One recording thread, so the recording (and the counters) are
+  // deterministic.
+  stm::Recorder rec(1 << 16);
+  auto s = stm::make_stm("tl2", 8, &rec);
+  ASSERT_NE(s, nullptr);
+  stm::WorkloadOptions wopts;
+  wopts.threads = 1;
+  wopts.txns_per_thread = 1000;
+  wopts.ops_per_txn = 3;
+  wopts.objects = 8;
+  wopts.write_fraction = 0.5;
+  wopts.seed = 21;
+  stm::run_random_mix(*s, wopts);
+  const auto events = rec.finish(s->num_objects()).events();
+  ASSERT_EQ(events.size(), 8000u);
+  EXPECT_EQ(gc_counters(events, 0, false),
+            (GcCounters{8000, 987, 7896, 608, 13, 104}));
+  EXPECT_EQ(gc_counters(events, 64, false),
+            (GcCounters{249, 987, 7896, 608, 13, 104}));
+  EXPECT_EQ(gc_counters(events, 0, true),
+            (GcCounters{1, 987, 7896, 423, 13, 104}));
+}
 
 // -- flat-memory regression over one million events --------------------------
 

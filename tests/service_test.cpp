@@ -440,6 +440,16 @@ TEST(ServiceStats, StatsLineCarriesTheSchema) {
   EXPECT_NE(text.find("hwm_kb=4321"), std::string::npos) << text;
 }
 
+TEST(ServiceStats, StatsLineCarriesGcTime) {
+  PipelineSnapshot snap;
+  snap.gc_passes = 3;
+  snap.gc_ns = 123456789;
+  const std::string json = format_stats_line(snap, 0.0, 0, true);
+  EXPECT_NE(json.find("\"gc_ns\":123456789"), std::string::npos) << json;
+  const std::string text = format_stats_line(snap, 0.0, 0, false);
+  EXPECT_NE(text.find("gc_ns=123456789"), std::string::npos) << text;
+}
+
 TEST(ServiceStats, StatsLineOmitsUnavailablePeakRss) {
   // hwm_kb == 0 means /proc/self/status was unreadable, not a zero-byte
   // peak: the key must be absent (in both formats) rather than reporting a
