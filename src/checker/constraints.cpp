@@ -47,7 +47,9 @@ Edges tms2_edges(const History& h) {
     for (std::size_t b = 0; b < n; ++b) {
       if (a == b) continue;
       const Transaction& tb = h.txn(b);
-      if (!tb.tryc_inv.has_value()) continue;
+      // Only committed updating readers are bound (see constraints.hpp).
+      if (!tb.committed() || tb.final_writes.empty()) continue;
+      DUO_ASSERT(tb.tryc_inv.has_value());
       if (ca_resp >= *tb.tryc_inv) continue;
       // Does T_b read an object T_a writes?
       bool conflict = false;

@@ -28,10 +28,19 @@ using Edges = std::vector<std::pair<std::size_t, std::size_t>>;
 Edges rco_commit_edges(const history::History& h);
 
 /// TMS2 edges (§4.2): if T_a and T_b conflict on X with X ∈ Wset(T_a) ∩
-/// Rset(T_b), T_a successfully commits on X in H, and T_a's tryC response
-/// precedes T_b's tryC invocation, then T_a must precede T_b in the
-/// serialization. Rset is taken literally (paper §2: the objects the
-/// transaction reads), so reads of one's own writes count.
+/// Rset(T_b), both T_a and T_b successfully commit in H, T_b is an updating
+/// transaction (it writes some object), and T_a's tryC response precedes
+/// T_b's tryC invocation, then T_a must precede T_b in the serialization.
+/// Rset is taken literally (paper §2: the objects the transaction reads),
+/// so reads of one's own writes count.
+///
+/// The reader class is the one TMS2 [5] orders by commit: in Doherty et
+/// al.'s automaton only a committing *updating* transaction is validated
+/// against the latest memory state; a read-only or aborted transaction is
+/// checked against some state since it began, so it may serialize wherever
+/// its reads are legal. Figure 6's separating T2 is committed and updating.
+/// A commit-pending T_b is left unconstrained: TMS2 gives it no place in
+/// the commit order until it commits, and nothing in §4.2 says otherwise.
 Edges tms2_edges(const history::History& h);
 
 }  // namespace duo::checker

@@ -49,8 +49,10 @@ std::string containment_violations(const VerdictVector& v) {
   };
   // Note: the paper's conjecture TMS2 ⊆ DU-Opacity concerns the full TMS2
   // automaton; our check implements only the one-clause conflict-order
-  // condition quoted in §4.2, which is weaker (e.g. it does not constrain
-  // transactions that never invoke tryC), so no tms2 ⇒ du rule appears here.
+  // condition quoted in §4.2, which is weaker (it binds only committed
+  // updating readers and, unlike du-opacity, puts no condition on reads of
+  // a writer whose tryC has not yet been invoked; Figure 3 is final-state
+  // opaque and passes it), so no tms2 ⇒ du rule appears here.
   const Rule rules[] = {
       {v.du_opaque, v.opaque, "du-opaque but not opaque (Thm. 10)"},
       {v.opaque, v.final_state, "opaque but not final-state opaque (Def. 5)"},

@@ -36,8 +36,10 @@ CheckResult check_criterion(const History& h, Criterion c,
 /// predicate on a verdict vector (ignores kUnknown entries):
 ///   du ⇒ opaque ⇒ final-state (Thm. 10, Def. 5);
 ///   rco ⇒ du (§4.2, [6] stronger than du);
-///   tms2 ⇒ du (§4.2 conjecture);
 ///   final-state ⇒ strict serializability of the committed projection.
+/// The §4.2 conjecture TMS2 ⊆ du-opacity is not checked: it concerns the
+/// full TMS2 automaton, while check_tms2 enforces only the conflict-order
+/// clause (see tms2.hpp), which accepts some non-du-opaque histories.
 /// Returns an explanation of the first violated implication, or empty.
 std::string containment_violations(const VerdictVector& v);
 

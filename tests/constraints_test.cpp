@@ -85,6 +85,37 @@ TEST(Tms2Edges, AbortedWriterNoEdge) {
   EXPECT_TRUE(tms2_edges(h).empty());
 }
 
+TEST(Tms2Edges, AbortedReaderNoEdge) {
+  // T2 reads the old X while T1 is committing, then aborts: TMS2 checks an
+  // aborted transaction against some state since it began, not the latest.
+  const auto h = parse_history_or_die("W1(X0,1) C1? R2(X0)=0 C1! C2=A");
+  EXPECT_TRUE(tms2_edges(h).empty());
+}
+
+TEST(Tms2Edges, ReadOnlyReaderNoEdge) {
+  // Same shape, but T2 commits without writing: read-only, so unbound.
+  const auto h = parse_history_or_die("W1(X0,1) C1? R2(X0)=0 C1! C2");
+  EXPECT_TRUE(tms2_edges(h).empty());
+}
+
+TEST(Tms2Edges, CommitPendingReaderNoEdge) {
+  // An updating T2 whose tryC never responds has no place in the commit
+  // order yet; the clause leaves it unconstrained.
+  const auto h =
+      parse_history_or_die("W1(X0,1) C1? R2(X0)=0 C1! W2(X1,1) C2?");
+  EXPECT_TRUE(tms2_edges(h).empty());
+}
+
+TEST(Tms2Edges, CommittedUpdatingReaderKeepsEdge) {
+  // The updating counterpart of ReadOnlyReaderNoEdge: T2 writes X1, so the
+  // clause binds it and T1 must precede T2.
+  const auto h =
+      parse_history_or_die("W1(X0,1) C1? R2(X0)=0 C1! W2(X1,1) C2");
+  const auto edges = tms2_edges(h);
+  EXPECT_TRUE(has_edge(edges, h.tix_of(1), h.tix_of(2)));
+  EXPECT_FALSE(has_edge(edges, h.tix_of(2), h.tix_of(1)));
+}
+
 TEST(Tms2Edges, InternalReadCountsAsRset) {
   // T2 writes X then reads it (Rset includes X by the paper's literal
   // definition); T1 committed X earlier.

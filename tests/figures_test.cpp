@@ -14,6 +14,7 @@
 #include "checker/tms2.hpp"
 #include "checker/verdict.hpp"
 #include "history/figures.hpp"
+#include "history/parser.hpp"
 
 namespace duo::checker {
 namespace {
@@ -195,6 +196,38 @@ TEST(Figure6, Tms2OrderMakesReadIllegal) {
   const auto violations = verify_serialization(h, s, rules);
   ASSERT_FALSE(violations.empty());
   EXPECT_NE(violations[0].find("read2(X0)=0"), std::string::npos);
+}
+
+/// check_tms2 forced onto one engine.
+CheckResult tms2_on(const History& h, EngineKind engine) {
+  CheckOptions opts;
+  opts.engine = engine;
+  return check_tms2(h, opts);
+}
+
+// Figure 6's separating T2 is a committed *updating* reader. A reader that
+// read the old value while T1 was committing and then aborted, or committed
+// without writing, is not ordered after T1 (Doherty et al.'s TMS2), so both
+// histories satisfy TMS2 on either engine. TL2 records the aborted shape.
+TEST(Figure6, Tms2AcceptsAbortedAndReadOnlyReaders) {
+  for (const char* text : {"W1(X0,1) C1? R2(X0)=0 C1! C2=A",
+                           "W1(X0,1) C1? R2(X0)=0 C1! C2"}) {
+    const History h = history::parse_history_or_die(text);
+    for (const EngineKind engine : {EngineKind::kGraph, EngineKind::kDfs}) {
+      const auto r = tms2_on(h, engine);
+      EXPECT_TRUE(r.yes()) << text << " on " << to_string(engine) << ": "
+                           << r.explanation;
+    }
+    EXPECT_TRUE(check_du_opacity(h).yes()) << text;
+  }
+}
+
+TEST(Figure6, Tms2RejectsCommittedUpdatingReader) {
+  const History h =
+      history::parse_history_or_die("W1(X0,1) C1? R2(X0)=0 C1! W2(X1,1) C2");
+  for (const EngineKind engine : {EngineKind::kGraph, EngineKind::kDfs})
+    EXPECT_TRUE(tms2_on(h, engine).no()) << to_string(engine);
+  EXPECT_TRUE(check_du_opacity(h).yes());
 }
 
 TEST(AllFigures, WitnessesReVerify) {

@@ -3,6 +3,7 @@
 // STMs, and du-opacity of recorded runs.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 #include "checker/du_opacity.hpp"
@@ -168,33 +169,42 @@ TEST(TxQueue, ConcurrentProducersConsumersConserveElements) {
   constexpr int kPerProducer = 40;
   std::atomic<Value> consumed_sum{0};
   std::atomic<int> consumed_count{0};
+  // atomically() re-runs the body after an abort, so each body only records
+  // its attempt's result in a local; the shared counters are touched once
+  // atomically() reports that the attempt committed.
   util::run_threads(4, [&](std::size_t tid) {
     if (tid < 2) {  // producers
       for (int i = 0; i < kPerProducer; ++i) {
         const Value v = static_cast<Value>(tid * 10000 + i + 1);
         bool done = false;
         while (!done) {
-          stm::atomically(stm, [&](stm::Transaction& tx) {
-            const auto r = q.enqueue(tx, v);
-            if (!r.has_value()) return Step::kRetry;
-            done = *r;
-            return Step::kCommit;
-          });
+          bool enqueued = false;
+          const bool committed =
+              stm::atomically(stm, [&](stm::Transaction& tx) {
+                const auto r = q.enqueue(tx, v);
+                if (!r.has_value()) return Step::kRetry;
+                enqueued = *r;
+                return Step::kCommit;
+              });
+          done = committed && enqueued;
         }
       }
     } else {  // consumers
       int drained = 0;
       while (drained < kPerProducer) {
-        stm::atomically(stm, [&](stm::Transaction& tx) {
-          const auto r = q.dequeue(tx);
-          if (!r.has_value()) return Step::kRetry;
-          if (r->has_value()) {
-            consumed_sum.fetch_add(**r);
-            consumed_count.fetch_add(1);
-            ++drained;
-          }
-          return Step::kCommit;
-        });
+        std::optional<Value> popped;
+        const bool committed =
+            stm::atomically(stm, [&](stm::Transaction& tx) {
+              const auto r = q.dequeue(tx);
+              if (!r.has_value()) return Step::kRetry;
+              popped = *r;
+              return Step::kCommit;
+            });
+        if (committed && popped.has_value()) {
+          consumed_sum.fetch_add(*popped);
+          consumed_count.fetch_add(1);
+          ++drained;
+        }
       }
     }
   });
