@@ -16,8 +16,6 @@ using history::OpKind;
 OnlineMonitor::OnlineMonitor(const MonitorOptions& opts) : opts_(opts) {
   num_objects_ = std::max<ObjId>(opts_.num_objects, 0);
   gc_trigger_ = opts_.gc_retain_events;
-  num_shards_ = util::resolve_threads(opts_.shards);
-  shards_.resize(num_shards_);
 }
 
 // ---------------------------------------------------------------------------
@@ -118,7 +116,7 @@ std::string OnlineMonitor::read_desc(const Read& r) const {
 }
 
 // ---------------------------------------------------------------------------
-// Edge bookkeeping (the apply phase and GC). Every edge the maintained
+// Edge bookkeeping (the event handlers and GC). Every edge the maintained
 // Tier-A constraint graph wants goes through link/unlink, so the graph's
 // edge multiset equals the desired multiset exactly — except for edges
 // parked in pending_ because inserting them would have closed a cycle.
@@ -184,162 +182,215 @@ void OnlineMonitor::retry_pending() {
 }
 
 // ---------------------------------------------------------------------------
-// Prescan (phase 1). Runs the serial monitor's transaction-global logic —
-// validation, status bookkeeping, node allocation, reads-from candidate
-// resolution decisions, the event-local latches — and compiles the batch
-// into the slot list. Per-object work (chain maintenance, anti-dependency
-// derivation) is not executed here; it is emitted as shard tasks carrying
-// everything the shard needs as values (install keys, node ids), because
-// the coordinator's transaction table keeps mutating through the batch
-// while a task must see the state as of its point in the serial order.
-//
-// Graph node allocation happens here, not in apply: add_node neither reads
-// nor perturbs edge state (new nodes enter isolated at the top of the
-// order, and the priority counter advances only on allocation), so
-// allocating a batch's nodes before applying the batch's edges yields the
-// same node ids and the same Pearce-Kelly behavior as the strict
-// interleaving — which is what keeps verdicts independent of batch size.
+// Per-object work. Each object keeps its version chain in canonical install
+// order, its initial-value reads, and the reads of it resolved to each
+// writer; chain insertions and removals splice the consecutive-writer
+// edges, retarget the anti-dependency edges of nearby writers' readers,
+// and keep every initial-value reader ordered before every chain member.
 
-OnlineMonitor::Slot& OnlineMonitor::emit(Slot::Kind kind) {
-  if (slots_used_ == slots_.size()) slots_.emplace_back();
-  Slot& s = slots_[slots_used_++];
-  s.kind = kind;
-  s.ops.clear();
-  s.splices = 0;
-  s.frozen = false;
-  s.latch = false;
-  return s;
+std::size_t OnlineMonitor::chain_lower_bound(
+    const std::vector<ChainEntry>& chain, std::uint64_t key) {
+  const auto it = std::lower_bound(
+      chain.begin(), chain.end(), key,
+      [](const ChainEntry& m, std::uint64_t k) { return m.key < k; });
+  return static_cast<std::size_t>(it - chain.begin());
 }
 
-OnlineMonitor::Slot& OnlineMonitor::emit_task(Slot::Kind kind, ObjId x) {
-  Slot& s = emit(kind);
-  s.obj = x;
-  ++shard_task_count_;
-  return s;
+std::size_t OnlineMonitor::chain_find(const std::vector<ChainEntry>& chain,
+                                      std::uint64_t key, std::size_t tix) {
+  const std::size_t pos = chain_lower_bound(chain, key);
+  DUO_ASSERT(pos < chain.size() && chain[pos].tix == tix);
+  return pos;
 }
 
-void OnlineMonitor::emit_direct(Slot::Kind kind, std::size_t a,
-                                std::size_t b) {
-  Slot& s = emit(kind);
-  s.a = a;
-  s.b = b;
+// Anti-dependency retarget: point the read's edge at the first chain
+// successor of its writer (position wpos), skipping the reader itself. The
+// skip looks one past the immediate successor, which is why splices only
+// retarget reads of writers within two positions of the splice point.
+
+void OnlineMonitor::retarget_read(const ObjState& os, std::size_t rid,
+                                  std::size_t wpos) {
+  Read& r = reads_[rid];
+  std::size_t succ = wpos + 1;
+  if (succ < os.chain.size() && os.chain[succ].tix == r.reader) ++succ;
+  const bool has_target = succ < os.chain.size();
+  const std::size_t target = has_target ? os.chain[succ].tix : kNone;
+  if (target == r.antidep) return;
+  const std::size_t reader_node = txns_[r.reader].node;
+  if (r.antidep != kNone) {
+    unlink(reader_node, txns_[r.antidep].node);
+    release_pin(r.antidep);
+  }
+  r.antidep = target;
+  if (has_target) {
+    link(reader_node, os.chain[succ].node);
+    ++txns_[target].antidep_in;
+  }
 }
 
-void OnlineMonitor::pre_latch(std::string reason) {
-  if (pre_latched_) return;
-  pre_latched_ = true;
-  pre_latch_reason_ = std::move(reason);
+void OnlineMonitor::retarget_around(const ObjState& os, std::size_t pos) {
+  for (std::size_t back = 0; back < 3; ++back) {
+    if (pos < back) break;
+    const std::size_t q = pos - back;
+    if (q >= os.chain.size()) continue;  // pos may point one past the end
+    const auto it = os.rf.find(os.chain[q].tix);
+    if (it == os.rf.end()) continue;
+    // Retargeting edits other reads' targets, never this list's membership.
+    for (const std::size_t rid : it->second) retarget_read(os, rid, q);
+  }
 }
 
-void OnlineMonitor::pre_enter_chains(std::size_t tix) {
+void OnlineMonitor::chain_insert(ObjId x, std::size_t tix) {
+  ObjState& os = objs_[x];
+  const Txn& t = txns_[tix];
+  auto& chain = os.chain;
+  const std::size_t pos = chain_lower_bound(chain, t.install_key);
+  const bool has_pred = pos > 0;
+  const bool has_succ = pos < chain.size();
+  const std::size_t pred_node = has_pred ? chain[pos - 1].node : 0;
+  const std::size_t succ_node = has_succ ? chain[pos].node : 0;
+  if (has_succ) ++stats_.chain_splices;
+  if (has_pred && has_succ) unlink(pred_node, succ_node);
+  if (has_pred) link(pred_node, t.node);
+  if (has_succ) link(t.node, succ_node);
+  chain.insert(chain.begin() + static_cast<std::ptrdiff_t>(pos),
+               ChainEntry{t.install_key, tix, t.node});
+  retarget_around(os, pos);
+  for (const InitialRead& ir : os.initial_reads)
+    if (ir.reader != tix) link(ir.reader_node, t.node);
+}
+
+void OnlineMonitor::chain_remove(ObjId x, std::size_t tix) {
+  ObjState& os = objs_[x];
+  const Txn& t = txns_[tix];
+  auto& chain = os.chain;
+  const std::size_t pos = chain_find(chain, t.install_key, tix);
+  ++stats_.chain_splices;
+  const bool has_pred = pos > 0;
+  const bool has_succ = pos + 1 < chain.size();
+  const std::size_t pred_node = has_pred ? chain[pos - 1].node : 0;
+  const std::size_t succ_node = has_succ ? chain[pos + 1].node : 0;
+  if (has_pred) unlink(pred_node, t.node);
+  if (has_succ) unlink(t.node, succ_node);
+  if (has_pred && has_succ) link(pred_node, succ_node);
+  chain.erase(chain.begin() + static_cast<std::ptrdiff_t>(pos));
+  retarget_around(os, pos);
+  for (const InitialRead& ir : os.initial_reads)
+    if (ir.reader != tix) unlink(ir.reader_node, t.node);
+}
+
+// ---------------------------------------------------------------------------
+// Transaction-global handlers: status bookkeeping, reads-from candidate
+// resolution, the completion chain and the event-local latches.
+
+void OnlineMonitor::latch_event(std::string reason) {
+  if (event_latched_) return;
+  event_latched_ = true;
+  event_latch_reason_ = std::move(reason);
+}
+
+void OnlineMonitor::enter_chains(std::size_t tix) {
   Txn& t = txns_[tix];
   DUO_ASSERT(!t.in_chain);
   t.in_chain = true;
   for (const auto& [x, v] : t.final_writes) {
     (void)v;
-    Slot& s = emit_task(Slot::Kind::kChainInsert, x);
-    s.tix = tix;
-    s.node = t.node;
-    s.key = t.install_key;
+    chain_insert(x, tix);
   }
 }
 
-void OnlineMonitor::pre_leave_chains(std::size_t tix) {
+void OnlineMonitor::leave_chains(std::size_t tix) {
   Txn& t = txns_[tix];
   DUO_ASSERT(t.in_chain);
   for (const auto& [x, v] : t.final_writes) {
     (void)v;
-    Slot& s = emit_task(Slot::Kind::kChainRemove, x);
-    s.tix = tix;
-    s.node = t.node;
-    s.key = t.install_key;
+    chain_remove(x, tix);
   }
   t.in_chain = false;
 }
 
-void OnlineMonitor::pre_resolve_read(std::size_t rid, std::size_t w) {
-  {
-    Read& r = reads_[rid];
-    DUO_ASSERT(r.writer == kNone);
-    r.writer = w;
-  }
+void OnlineMonitor::resolve_read(std::size_t rid, std::size_t w) {
+  Read& r = reads_[rid];
+  DUO_ASSERT(r.writer == kNone);
+  r.writer = w;
   Txn& wt = txns_[w];
   if (!wt.in_chain) {
     DUO_ASSERT(wt.tryc_inv.has_value());
     wt.install_key = *wt.tryc_inv;  // commit-pending: install at tryC inv
-    pre_enter_chains(w);
+    enter_chains(w);
   }
   wt.rf_reads.push_back(rid);
-  const Read& r = reads_[rid];
-  emit_direct(Slot::Kind::kDirectLink, wt.node, txns_[r.reader].node);
-  Slot& s = emit_task(Slot::Kind::kResolve, r.obj);
-  s.rid = rid;
-  s.reader = r.reader;
-  s.reader_node = txns_[r.reader].node;
-  s.writer = w;
-  s.key = wt.install_key;
+  link(wt.node, txns_[r.reader].node);
+  // The read's first anti-dependency edge.
+  ObjState& os = objs_[r.obj];
+  os.rf[w].push_back(rid);
+  DUO_ASSERT(r.antidep == kNone);
+  retarget_read(os, rid, chain_find(os.chain, wt.install_key, w));
 }
 
-void OnlineMonitor::pre_unresolve_read(std::size_t rid) {
+void OnlineMonitor::unresolve_read(std::size_t rid) {
   Read& r = reads_[rid];
   DUO_ASSERT(r.writer != kNone);
   const std::size_t w = r.writer;
   Txn& wt = txns_[w];
-  emit_direct(Slot::Kind::kDirectUnlink, wt.node, txns_[r.reader].node);
-  {
-    Slot& s = emit_task(Slot::Kind::kUnresolve, r.obj);
-    s.rid = rid;
-    s.reader = r.reader;
-    s.reader_node = txns_[r.reader].node;
-    s.writer = w;
+  const std::size_t reader_node = txns_[r.reader].node;
+  unlink(wt.node, reader_node);
+  ObjState& os = objs_[r.obj];
+  const auto it = os.rf.find(w);
+  DUO_ASSERT(it != os.rf.end());
+  auto& lst = it->second;
+  lst.erase(std::find(lst.begin(), lst.end(), rid));
+  if (lst.empty()) os.rf.erase(it);
+  if (r.antidep != kNone) {
+    unlink(reader_node, txns_[r.antidep].node);
+    release_pin(r.antidep);
+    r.antidep = kNone;
   }
   auto& rf = wt.rf_reads;
   rf.erase(std::find(rf.begin(), rf.end(), rid));
   r.writer = kNone;
   if (rf.empty() && wt.status != TxnStatus::kCommitted && wt.in_chain)
-    pre_leave_chains(w);
+    leave_chains(w);
 }
 
-void OnlineMonitor::pre_reject_or_resolve(std::size_t rid) {
+void OnlineMonitor::reject_or_resolve(std::size_t rid) {
   Read& r = reads_[rid];
   DUO_ASSERT(!r.is_initial);
   if (r.cands.empty()) {
-    pre_latch(read_desc(r) +
-              ": no transaction that can commit writes this value");
+    latch_event(read_desc(r) +
+                ": no transaction that can commit writes this value");
     return;
   }
   if (r.local_count == 0) {
-    pre_latch(read_desc(r) +
-              ": no candidate writer invoked tryC before the read's response "
-              "(deferred-update violation)");
+    latch_event(read_desc(r) +
+                ": no candidate writer invoked tryC before the read's "
+                "response (deferred-update violation)");
     return;
   }
   if (r.cands.size() == 1 && r.writer == kNone)
-    pre_resolve_read(rid, r.cands.front());
+    resolve_read(rid, r.cands.front());
 }
 
-void OnlineMonitor::pre_new_transaction(std::size_t tix) {
+void OnlineMonitor::new_transaction(std::size_t tix) {
   // Real-time order, sparsified: a ≺RT b iff a t-completes before b's first
   // event. Each completion appends a fresh chain node c_i with edges
   // completer -> c_i and c_{i-1} -> c_i; a new transaction gets one edge
   // from the latest chain node, inheriting every earlier completion
   // transitively. Edges into a fresh node can never close a cycle.
   if (!completion_log_.empty())
-    emit_direct(Slot::Kind::kDirectLink, completion_log_.back().node,
-                txns_[tix].node);
+    link(completion_log_.back().node, txns_[tix].node);
 }
 
-void OnlineMonitor::pre_t_complete(std::size_t tix) {
+void OnlineMonitor::t_complete(std::size_t tix) {
   const std::size_t c = graph_.add_node();
-  if (!completion_log_.empty())
-    emit_direct(Slot::Kind::kDirectLink, completion_log_.back().node, c);
-  emit_direct(Slot::Kind::kDirectLink, txns_[tix].node, c);
+  if (!completion_log_.empty()) link(completion_log_.back().node, c);
+  link(txns_[tix].node, c);
   txns_[tix].completion_seq = completion_base_ + completion_log_.size();
   completion_log_.push_back(CompletionEntry{c, false});
 }
 
-void OnlineMonitor::pre_read_response(std::size_t tix, ObjId x, Value v,
-                                      std::size_t resp_index) {
+void OnlineMonitor::read_response(std::size_t tix, ObjId x, Value v,
+                                  std::size_t resp_index) {
   if (const auto own = final_write_value(tix, x)) {
     // Internal read: it must return the transaction's own latest prior
     // write in *every* equivalent t-sequential history, so a mismatch
@@ -348,7 +399,7 @@ void OnlineMonitor::pre_read_response(std::size_t tix, ObjId x, Value v,
       std::ostringstream msg;
       msg << "internal read" << txns_[tix].id << "(X" << x << ")=" << v
           << " must return own write " << *own;
-      pre_latch(msg.str());
+      latch_event(msg.str());
     }
     return;
   }
@@ -375,10 +426,11 @@ void OnlineMonitor::pre_read_response(std::size_t tix, ObjId x, Value v,
     // chain writer of the object. A can-commit writer of the initial value
     // would put the prefix outside the unique-writes class; that case is
     // carried by nonuw_ and decided by the fallback checks.
-    Slot& s = emit_task(Slot::Kind::kInitialRead, x);
-    s.rid = rid;
-    s.reader = tix;
-    s.reader_node = txns_[tix].node;
+    ObjState& os = objs_[x];
+    const std::size_t node = txns_[tix].node;
+    os.initial_reads.push_back(InitialRead{rid, tix, node});
+    for (const ChainEntry& m : os.chain)
+      if (m.tix != tix) link(node, m.node);
     return;
   }
 
@@ -391,10 +443,10 @@ void OnlineMonitor::pre_read_response(std::size_t tix, ObjId x, Value v,
       if (*txns_[w].tryc_inv < resp_index) ++r.local_count;
     }
   }
-  pre_reject_or_resolve(rid);
+  reject_or_resolve(rid);
 }
 
-void OnlineMonitor::pre_tryc_invoked(std::size_t tix) {
+void OnlineMonitor::tryc_invoked(std::size_t tix) {
   // The transaction becomes a can-commit candidate writer for every value
   // in its (now frozen) write set. Its tryC invocation is the latest
   // event, so it never joins a read's *local* candidate set — but a second
@@ -411,24 +463,24 @@ void OnlineMonitor::pre_tryc_invoked(std::size_t tix) {
       Read& r = reads_[rid];
       if (r.reader == tix) continue;
       r.cands.push_back(tix);
-      if (r.writer != kNone && r.cands.size() >= 2) pre_unresolve_read(rid);
+      if (r.writer != kNone && r.cands.size() >= 2) unresolve_read(rid);
     }
   }
 }
 
-void OnlineMonitor::pre_committed(std::size_t tix, std::size_t resp_index) {
+void OnlineMonitor::committed(std::size_t tix, std::size_t resp_index) {
   // The install key becomes the tryC response index — the maximum so far —
   // so a member already in the chains (it was read from while pending)
   // moves to the end, and a fresh member appends. Both shapes are the
   // no-op/append fast case for recorded runs, where the canonical order is
   // the order the STM actually installed.
   Txn& t = txns_[tix];
-  if (t.in_chain) pre_leave_chains(tix);
+  if (t.in_chain) leave_chains(tix);
   t.install_key = resp_index;
-  pre_enter_chains(tix);
+  enter_chains(tix);
 }
 
-void OnlineMonitor::pre_aborted(std::size_t tix, bool was_commit_pending) {
+void OnlineMonitor::aborted(std::size_t tix, bool was_commit_pending) {
   if (!was_commit_pending) return;
   for (const auto& [x, v] : txns_[tix].final_writes) {
     if (v == 0) --nonuw_;
@@ -440,12 +492,12 @@ void OnlineMonitor::pre_aborted(std::size_t tix, bool was_commit_pending) {
     for (const std::size_t rid : it->second) {
       Read& r = reads_[rid];
       if (r.reader == tix) continue;
-      if (r.writer == tix) pre_unresolve_read(rid);
+      if (r.writer == tix) unresolve_read(rid);
       r.cands.erase(std::find(r.cands.begin(), r.cands.end(), tix));
       DUO_ASSERT(txns_[tix].tryc_inv.has_value());
       if (*txns_[tix].tryc_inv < r.resp_index) --r.local_count;
-      pre_reject_or_resolve(rid);
-      if (pre_latched_) return;
+      reject_or_resolve(rid);
+      if (event_latched_) return;
     }
   }
   // Every read resolved to this writer just lost its only candidate (and
@@ -454,363 +506,142 @@ void OnlineMonitor::pre_aborted(std::size_t tix, bool was_commit_pending) {
   DUO_ASSERT(!txns_[tix].in_chain);
 }
 
-std::size_t OnlineMonitor::prescan(const Event* events, std::size_t n,
-                                   std::string& error) {
+// ---------------------------------------------------------------------------
+// The event loop. Each validated event runs its transaction bookkeeping and
+// edge work, is appended to the retained log, and ends with the verdict
+// step for the prefix ending at it.
+
+void OnlineMonitor::feed_event(const Event& e) {
   // Latched prefixes stay latched (prefix closure); only the validation
   // state keeps advancing so malformed suffixes are still diagnosed.
   const bool frozen = latched();
-  std::size_t prescanned = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Event& e = events[i];
-    if (std::string err = validate(e); !err.empty()) {
-      error = std::move(err);
-      break;
+  if ((e.op == OpKind::kRead || e.op == OpKind::kWrite) &&
+      e.obj >= num_objects_)
+    num_objects_ = e.obj + 1;
+
+  const bool is_new_txn = !tix_of_.contains(e.txn);
+  const std::size_t k = txn_index(e.txn);  // reads total_events_
+  const std::size_t index = total_events_;
+  ++total_events_;
+
+  if (!frozen && is_new_txn) new_transaction(k);
+
+  Txn& t = txns_[k];
+  if (e.is_invocation()) {
+    t.has_pending = true;
+    t.pending_inv = e;
+    if (e.op == OpKind::kRead) t.objects_read.push_back(e.obj);
+    if (e.op == OpKind::kTryCommit) {
+      t.tryc_inv = index;
+      t.status = TxnStatus::kCommitPending;
+      if (!frozen) tryc_invoked(k);
     }
-    if ((e.op == OpKind::kRead || e.op == OpKind::kWrite) &&
-        e.obj >= num_objects_)
-      num_objects_ = e.obj + 1;
-
-    const bool is_new_txn = !tix_of_.contains(e.txn);
-    const std::size_t k = txn_index(e.txn);  // reads total_events_
-    const std::size_t index = total_events_;
-    ++total_events_;
-
-    if (!frozen && is_new_txn) pre_new_transaction(k);
-
-    Txn& t = txns_[k];
-    if (e.is_invocation()) {
-      t.has_pending = true;
-      t.pending_inv = e;
-      if (e.op == OpKind::kRead) t.objects_read.push_back(e.obj);
-      if (e.op == OpKind::kTryCommit) {
-        t.tryc_inv = index;
-        t.status = TxnStatus::kCommitPending;
-        if (!frozen) pre_tryc_invoked(k);
+  } else {
+    const Event inv = t.pending_inv;
+    t.has_pending = false;
+    if (e.aborted || e.op == OpKind::kTryCommit) {
+      t.finished = true;
+      t.complete_index = index;
+    }
+    if (e.aborted) {
+      const bool was_commit_pending = t.status == TxnStatus::kCommitPending;
+      t.status = TxnStatus::kAborted;
+      if (!frozen) {
+        aborted(k, was_commit_pending);
+        if (!event_latched_) t_complete(k);
       }
     } else {
-      const Event inv = t.pending_inv;
-      t.has_pending = false;
-      if (e.aborted || e.op == OpKind::kTryCommit) {
-        t.finished = true;
-        t.complete_index = index;
-      }
-      if (e.aborted) {
-        const bool was_commit_pending = t.status == TxnStatus::kCommitPending;
-        t.status = TxnStatus::kAborted;
-        if (!frozen) {
-          pre_aborted(k, was_commit_pending);
-          if (!pre_latched_) pre_t_complete(k);
-        }
-      } else {
-        switch (e.op) {
-          case OpKind::kRead:
-            if (!frozen) pre_read_response(k, e.obj, e.value, index);
-            break;
-          case OpKind::kWrite: {
-            // Record the final write value. The transaction is necessarily
-            // still running here, so its writes are invisible to every
-            // constraint until its tryC invocation freezes the write set.
-            bool found = false;
-            for (auto& [obj, v] : t.final_writes)
-              if (obj == e.obj) {
-                v = inv.value;
-                found = true;
-              }
-            if (!found) t.final_writes.emplace_back(e.obj, inv.value);
-            break;
-          }
-          case OpKind::kTryCommit:
-            t.status = TxnStatus::kCommitted;
-            if (!frozen) {
-              pre_committed(k, index);
-              pre_t_complete(k);
+      switch (e.op) {
+        case OpKind::kRead:
+          if (!frozen) read_response(k, e.obj, e.value, index);
+          break;
+        case OpKind::kWrite: {
+          // Record the final write value. The transaction is necessarily
+          // still running here, so its writes are invisible to every
+          // constraint until its tryC invocation freezes the write set.
+          bool found = false;
+          for (auto& [obj, v] : t.final_writes)
+            if (obj == e.obj) {
+              v = inv.value;
+              found = true;
             }
-            break;
-          case OpKind::kTryAbort:
-            DUO_UNREACHABLE("tryA response is always aborted (validated)");
-        }
-      }
-    }
-
-    Slot& b = emit(Slot::Kind::kBoundary);
-    b.tix = k;
-    b.index = index;
-    b.event_pos = i;
-    b.nonuw = nonuw_;
-    b.num_objects = num_objects_;
-    b.max_txn_id = max_txn_id_seen_;
-    b.frozen = frozen;
-    b.latch = pre_latched_;
-    if (pre_latched_) b.latch_reason = std::move(pre_latch_reason_);
-    prescanned = i + 1;
-    // Stop compiling after a latching event: the latch is terminal, so the
-    // tail of the batch is covered by prefix closure and never consumed.
-    if (pre_latched_) break;
-  }
-  return prescanned;
-}
-
-// ---------------------------------------------------------------------------
-// Derive (phase 2). Each shard walks the slot list in order and executes
-// the per-object tasks it owns against its chains, initial-read lists and
-// per-object resolved-read lists, recording each task's graph effects as
-// ops. Everything a task reads is either frozen for the whole phase (the
-// transaction table — prescan is done, GC only runs between batches), a
-// task payload copied at emission time (install keys), or shard-owned
-// sequential state (chains, rf lists, Read::antidep) — so shards never
-// synchronize, and the op list each task produces is a pure function of
-// the slot list, independent of shard count.
-
-std::size_t OnlineMonitor::chain_lower_bound(
-    const std::vector<ChainEntry>& chain, std::uint64_t key) {
-  const auto it = std::lower_bound(
-      chain.begin(), chain.end(), key,
-      [](const ChainEntry& m, std::uint64_t k) { return m.key < k; });
-  return static_cast<std::size_t>(it - chain.begin());
-}
-
-std::size_t OnlineMonitor::chain_find(const std::vector<ChainEntry>& chain,
-                                      std::uint64_t key, std::size_t tix) {
-  const std::size_t pos = chain_lower_bound(chain, key);
-  DUO_ASSERT(pos < chain.size() && chain[pos].tix == tix);
-  return pos;
-}
-
-void OnlineMonitor::derive_shard(std::size_t shard) {
-  ShardState& st = shards_[shard];
-  for (std::size_t i = 0; i < slots_used_; ++i) {
-    Slot& s = slots_[i];
-    if (!is_shard_task(s.kind) || shard_of(s.obj) != shard) continue;
-    derive_slot(st.objs[s.obj], s);
-  }
-}
-
-void OnlineMonitor::derive_slot(ObjShard& os, Slot& s) {
-  switch (s.kind) {
-    case Slot::Kind::kChainInsert:
-      derive_chain_insert(os, s);
-      break;
-    case Slot::Kind::kChainRemove:
-      derive_chain_remove(os, s);
-      break;
-    case Slot::Kind::kResolve:
-      derive_resolve(os, s);
-      break;
-    case Slot::Kind::kUnresolve:
-      derive_unresolve(os, s);
-      break;
-    case Slot::Kind::kInitialRead:
-      derive_initial_read(os, s);
-      break;
-    default:
-      DUO_UNREACHABLE("not a shard task");
-  }
-}
-
-// Anti-dependency retarget: point the read's edge at the first chain
-// successor of its writer (position wpos), skipping the reader itself. The
-// skip looks one past the immediate successor, which is why splices only
-// retarget reads of writers within two positions of the splice point.
-
-void OnlineMonitor::derive_retarget_read(const ObjShard& os, Slot& out,
-                                         std::size_t rid, std::size_t wpos) {
-  Read& r = reads_[rid];
-  std::size_t succ = wpos + 1;
-  if (succ < os.chain.size() && os.chain[succ].tix == r.reader) ++succ;
-  const bool has_target = succ < os.chain.size();
-  const std::size_t target = has_target ? os.chain[succ].tix : kNone;
-  if (target == r.antidep) return;
-  const std::size_t reader_node = txns_[r.reader].node;
-  if (r.antidep != kNone) {
-    out.ops.push_back(
-        Op{Op::Kind::kUnlink, 0, reader_node, txns_[r.antidep].node});
-    out.ops.push_back(Op{Op::Kind::kAntidepIn, -1, r.antidep, 0});
-  }
-  r.antidep = target;
-  if (has_target) {
-    out.ops.push_back(
-        Op{Op::Kind::kLink, 0, reader_node, os.chain[succ].node});
-    out.ops.push_back(Op{Op::Kind::kAntidepIn, +1, target, 0});
-  }
-}
-
-void OnlineMonitor::derive_retarget_around(const ObjShard& os, Slot& out,
-                                           std::size_t pos) {
-  for (std::size_t back = 0; back < 3; ++back) {
-    if (pos < back) break;
-    const std::size_t q = pos - back;
-    if (q >= os.chain.size()) continue;  // pos may point one past the end
-    const auto it = os.rf.find(os.chain[q].tix);
-    if (it == os.rf.end()) continue;
-    // Snapshot semantics as in the serial monitor: retargeting edits other
-    // reads' targets, never this list's membership.
-    for (const std::size_t rid : it->second)
-      derive_retarget_read(os, out, rid, q);
-  }
-}
-
-void OnlineMonitor::derive_chain_insert(ObjShard& os, Slot& s) {
-  auto& chain = os.chain;
-  const std::size_t pos = chain_lower_bound(chain, s.key);
-  const bool has_pred = pos > 0;
-  const bool has_succ = pos < chain.size();
-  const std::size_t pred_node = has_pred ? chain[pos - 1].node : 0;
-  const std::size_t succ_node = has_succ ? chain[pos].node : 0;
-  if (has_succ) ++s.splices;
-  if (has_pred && has_succ)
-    s.ops.push_back(Op{Op::Kind::kUnlink, 0, pred_node, succ_node});
-  if (has_pred) s.ops.push_back(Op{Op::Kind::kLink, 0, pred_node, s.node});
-  if (has_succ) s.ops.push_back(Op{Op::Kind::kLink, 0, s.node, succ_node});
-  chain.insert(chain.begin() + static_cast<std::ptrdiff_t>(pos),
-               ChainEntry{s.key, s.tix, s.node});
-  derive_retarget_around(os, s, pos);
-  for (const InitialRead& ir : os.initial_reads)
-    if (ir.reader != s.tix)
-      s.ops.push_back(Op{Op::Kind::kLink, 0, ir.reader_node, s.node});
-}
-
-void OnlineMonitor::derive_chain_remove(ObjShard& os, Slot& s) {
-  auto& chain = os.chain;
-  const std::size_t pos = chain_find(chain, s.key, s.tix);
-  ++s.splices;
-  const bool has_pred = pos > 0;
-  const bool has_succ = pos + 1 < chain.size();
-  const std::size_t pred_node = has_pred ? chain[pos - 1].node : 0;
-  const std::size_t succ_node = has_succ ? chain[pos + 1].node : 0;
-  if (has_pred) s.ops.push_back(Op{Op::Kind::kUnlink, 0, pred_node, s.node});
-  if (has_succ) s.ops.push_back(Op{Op::Kind::kUnlink, 0, s.node, succ_node});
-  if (has_pred && has_succ)
-    s.ops.push_back(Op{Op::Kind::kLink, 0, pred_node, succ_node});
-  chain.erase(chain.begin() + static_cast<std::ptrdiff_t>(pos));
-  derive_retarget_around(os, s, pos);
-  for (const InitialRead& ir : os.initial_reads)
-    if (ir.reader != s.tix)
-      s.ops.push_back(Op{Op::Kind::kUnlink, 0, ir.reader_node, s.node});
-}
-
-void OnlineMonitor::derive_resolve(ObjShard& os, Slot& s) {
-  os.rf[s.writer].push_back(s.rid);
-  const std::size_t wpos = chain_find(os.chain, s.key, s.writer);
-  Read& r = reads_[s.rid];
-  std::size_t succ = wpos + 1;
-  if (succ < os.chain.size() && os.chain[succ].tix == s.reader) ++succ;
-  if (succ < os.chain.size()) {
-    r.antidep = os.chain[succ].tix;
-    s.ops.push_back(
-        Op{Op::Kind::kLink, 0, s.reader_node, os.chain[succ].node});
-    s.ops.push_back(Op{Op::Kind::kAntidepIn, +1, os.chain[succ].tix, 0});
-  }
-}
-
-void OnlineMonitor::derive_unresolve(ObjShard& os, Slot& s) {
-  const auto it = os.rf.find(s.writer);
-  DUO_ASSERT(it != os.rf.end());
-  auto& lst = it->second;
-  lst.erase(std::find(lst.begin(), lst.end(), s.rid));
-  if (lst.empty()) os.rf.erase(it);
-  Read& r = reads_[s.rid];
-  if (r.antidep != kNone) {
-    s.ops.push_back(
-        Op{Op::Kind::kUnlink, 0, s.reader_node, txns_[r.antidep].node});
-    s.ops.push_back(Op{Op::Kind::kAntidepIn, -1, r.antidep, 0});
-    r.antidep = kNone;
-  }
-}
-
-void OnlineMonitor::derive_initial_read(ObjShard& os, Slot& s) {
-  os.initial_reads.push_back(InitialRead{s.rid, s.reader, s.reader_node});
-  for (const ChainEntry& m : os.chain)
-    if (m.tix != s.reader)
-      s.ops.push_back(Op{Op::Kind::kLink, 0, s.reader_node, m.node});
-}
-
-// ---------------------------------------------------------------------------
-// Apply (phase 3). Replays the slot list in order through the single
-// Pearce-Kelly graph: shard-task ops and direct edges reproduce the exact
-// link/unlink sequence the serial monitor would have executed event by
-// event, and each boundary runs the per-event verdict step against its
-// prescan snapshots. The one divergence from strict per-event feeding is
-// intentional: a fallback check that latches mid-batch stops consumption
-// at that event (later events' prescan bookkeeping is already committed,
-// which is invisible — the latch is terminal and callers stop feeding).
-
-std::size_t OnlineMonitor::apply_slots(const Event* events) {
-  std::size_t consumed = 0;
-  for (std::size_t i = 0; i < slots_used_; ++i) {
-    Slot& s = slots_[i];
-    switch (s.kind) {
-      case Slot::Kind::kDirectLink:
-        link(s.a, s.b);
-        break;
-      case Slot::Kind::kDirectUnlink:
-        unlink(s.a, s.b);
-        break;
-      case Slot::Kind::kBoundary: {
-        events_.push_back(events[s.event_pos]);
-        if (opts_.gc)
-          log_stamps_.push_back(LogStamp{s.tix, txns_[s.tix].start_index});
-        ++txns_[s.tix].num_events;
-        ++stats_.events;
-        consumed = s.event_pos + 1;
-        if (s.frozen) {
-          removed_this_event_ = false;
+          if (!found) t.final_writes.emplace_back(e.obj, inv.value);
           break;
         }
-        if (s.latch) {
-          // Prescan truncated the batch here, so this is the last slot.
-          latch_at(s.index, std::move(s.latch_reason), /*by_fast_path=*/true);
-          removed_this_event_ = false;
-          break;
-        }
-        if (removed_this_event_ && !pending_.empty()) retry_pending();
-        removed_this_event_ = false;
-        if (pending_.empty() && s.nonuw == 0) {
-          // The maintained graph is exactly the batch engine's Tier-A
-          // constraint set for this prefix, and it is acyclic (every
-          // desired edge is in): any topological order of it is a
-          // du-opaque serialization.
-          verdict_ = Verdict::kYes;
-          ++stats_.fast_yes;
-        } else {
-          run_full_check(s.num_objects, s.max_txn_id, s.index);
-          if (latched()) return consumed;  // discard the rest of the batch
-        }
-        break;
-      }
-      default: {
-        for (const Op& op : s.ops) {
-          switch (op.kind) {
-            case Op::Kind::kLink:
-              link(op.a, op.b);
-              break;
-            case Op::Kind::kUnlink:
-              unlink(op.a, op.b);
-              break;
-            case Op::Kind::kAntidepIn:
-              if (op.delta > 0)
-                ++txns_[op.a].antidep_in;
-              else
-                release_pin(op.a);
-              break;
+        case OpKind::kTryCommit:
+          t.status = TxnStatus::kCommitted;
+          if (!frozen) {
+            committed(k, index);
+            t_complete(k);
           }
-        }
-        stats_.chain_splices += s.splices;
-        break;
+          break;
+        case OpKind::kTryAbort:
+          DUO_UNREACHABLE("tryA response is always aborted (validated)");
       }
     }
   }
-  return consumed;
+
+  events_.push_back(e);
+  if (opts_.gc) log_stamps_.push_back(LogStamp{k, txns_[k].start_index});
+  ++txns_[k].num_events;
+  ++stats_.events;
+
+  if (event_latched_) {
+    latch_at(index, std::move(event_latch_reason_), /*by_fast_path=*/true);
+  } else if (!frozen) {
+    if (removed_this_event_ && !pending_.empty()) retry_pending();
+    if (pending_.empty() && nonuw_ == 0) {
+      // The maintained graph is exactly the batch engine's Tier-A
+      // constraint set for this prefix, and it is acyclic (every desired
+      // edge is in): any topological order of it is a du-opaque
+      // serialization.
+      verdict_ = Verdict::kYes;
+      ++stats_.fast_yes;
+    } else {
+      run_full_check(index);
+    }
+  }
+  event_latched_ = false;
+  removed_this_event_ = false;
+}
+
+OnlineMonitor::FeedOutcome OnlineMonitor::feed_batch(const Event* events,
+                                                     std::size_t n) {
+  FeedOutcome out;
+  const bool was_latched = latched();
+  while (out.consumed < n) {
+    const Event& e = events[out.consumed];
+    if (std::string err = validate(e); !err.empty()) {
+      out.error = std::move(err);
+      break;
+    }
+    feed_event(e);
+    ++out.consumed;
+    // A latch is terminal: the rest of the batch is covered by prefix
+    // closure and is not consumed.
+    if (!was_latched && latched()) break;
+  }
+  if (out.consumed > 0 && opts_.gc && !latched() && pending_.empty() &&
+      nonuw_ == 0 && total_events_ >= gc_trigger_)
+    run_gc();
+  return out;
+}
+
+util::Result<Verdict> OnlineMonitor::feed(const Event& e) {
+  using R = util::Result<Verdict>;
+  FeedOutcome out = feed_batch(&e, 1);
+  if (!out.error.empty()) return R::error(std::move(out.error));
+  return R::ok(verdict_);
 }
 
 // ---------------------------------------------------------------------------
 // Settled-prefix garbage collection. A retired transaction's graph node is
 // dropped wholesale, so retirement is sound exactly when nothing retained or
 // future can name the transaction again — see the settlement rule in
-// monitor.hpp and the full argument in docs/service.md. Passes run only
-// between batches while the fast path is live (no parked edges,
-// unique-writes class, not latched), so every retained non-initial read is
-// resolved, the graph is exactly the Tier-A constraint set, and the
-// coordinator owns all shard state.
+// monitor.hpp and the full argument in docs/service.md. Passes run only at
+// batch ends while the fast path is live (no parked edges, unique-writes
+// class, not latched), so every retained non-initial read is resolved and
+// the graph is exactly the Tier-A constraint set.
 
 std::size_t OnlineMonitor::live_horizon() {
   // Entries are lazily pruned: finished entries, and entries whose slot was
@@ -837,9 +668,9 @@ bool OnlineMonitor::txn_settled(std::size_t tix, std::size_t horizon) const {
   if (t.status == TxnStatus::kCommitted) {
     for (const auto& [x, v] : t.final_writes) {
       (void)v;
-      const auto oit = shards_[shard_of(x)].objs.find(x);
-      DUO_ASSERT(oit != shards_[shard_of(x)].objs.end());
-      const ObjShard& os = oit->second;
+      const auto oit = objs_.find(x);
+      DUO_ASSERT(oit != objs_.end());
+      const ObjState& os = oit->second;
       // Another transaction's initial-value read keeps an edge to every
       // chain member, including this one; it drains when the reader
       // retires. The transaction's own initial read retires with it.
@@ -874,7 +705,7 @@ void OnlineMonitor::release_pin(std::size_t tix) {
 void OnlineMonitor::retire_read(std::size_t rid) {
   Read& r = reads_[rid];
   if (r.is_initial) {
-    auto& ir = obj_shard(r.obj).initial_reads;
+    auto& ir = objs_[r.obj].initial_reads;
     const auto it =
         std::find_if(ir.begin(), ir.end(),
                      [rid](const InitialRead& e) { return e.rid == rid; });
@@ -884,7 +715,7 @@ void OnlineMonitor::retire_read(std::size_t rid) {
     // graph node.
   } else if (r.writer == kSealedWriter) {
     // Sealed at the writer's retirement: already out of reads_of_ and the
-    // shard's rf lists. Only the sealed-version reference and the
+    // object's rf lists. Only the sealed-version reference and the
     // anti-dependency pin on the guard successor remain to release.
     const auto svit = sealed_versions_.find({r.obj, r.value});
     DUO_ASSERT(svit != sealed_versions_.end() && svit->second.refs > 0);
@@ -904,9 +735,8 @@ void OnlineMonitor::retire_read(std::size_t rid) {
       DUO_ASSERT(wt.status == TxnStatus::kCommitted);
       auto& rf = wt.rf_reads;
       rf.erase(std::find(rf.begin(), rf.end(), rid));
-      // Mirror in the shard's per-object projection, which otherwise only
-      // derive tasks maintain.
-      ObjShard& os = obj_shard(r.obj);
+      // Mirror in the object's per-writer projection.
+      ObjState& os = objs_[r.obj];
       const auto oit = os.rf.find(r.writer);
       DUO_ASSERT(oit != os.rf.end());
       auto& olst = oit->second;
@@ -952,8 +782,8 @@ void OnlineMonitor::retire_txn(std::size_t tix) {
       auto& ws = wit->second;
       ws.erase(std::find(ws.begin(), ws.end(), tix));
       if (ws.empty()) writers_of_.erase(wit);
-      ObjShard& os = obj_shard(x);
-      // Drop the shard's resolved-read projection for this writer (the
+      ObjState& os = objs_[x];
+      // Drop the object's resolved-read projection for this writer (the
       // sealed reads above are exactly its remaining entries). Keyed by
       // tix, so a stale entry would alias a later reuse of the slot.
       os.rf.erase(tix);
@@ -1043,7 +873,7 @@ void OnlineMonitor::run_gc() {
       // Dropping an initial-value read may satisfy the no-other-initial-
       // reads condition for any writer in the object's chain.
       if (r.is_initial)
-        for (const ChainEntry& m : obj_shard(r.obj).chain)
+        for (const ChainEntry& m : objs_[r.obj].chain)
           work.push_back(m.tix);
     }
     retire_txn(tix);
@@ -1084,10 +914,9 @@ void OnlineMonitor::compact_log() {
 // ---------------------------------------------------------------------------
 // The fallback tier
 
-void OnlineMonitor::run_full_check(ObjId num_objects, TxnId synth_base,
-                                   std::size_t index) {
+void OnlineMonitor::run_full_check(std::size_t index) {
   ++stats_.full_checks;
-  const History h = history_at(num_objects, synth_base);
+  const History h = history();
   checker::CheckOptions copts;
   copts.node_budget = opts_.node_budget;
   copts.engine = opts_.engine;
@@ -1106,58 +935,9 @@ void OnlineMonitor::run_full_check(ObjId num_objects, TxnId synth_base,
   }
 }
 
-// ---------------------------------------------------------------------------
-// The event loop
-
-OnlineMonitor::FeedOutcome OnlineMonitor::feed_batch(const Event* events,
-                                                     std::size_t n) {
-  FeedOutcome out;
-  if (n == 0) return out;
-  slots_used_ = 0;
-  shard_task_count_ = 0;
-  pre_latched_ = false;
-
-  const std::size_t base_total = total_events_;
-  const std::size_t prescanned = prescan(events, n, out.error);
-
-  if (shard_task_count_ > 0) {
-    if (num_shards_ > 1 && shard_task_count_ >= kParallelDeriveThreshold) {
-      if (!gang_) gang_ = std::make_unique<util::WorkerGang>(num_shards_);
-      gang_->run([this](std::size_t s) { derive_shard(s); });
-    } else {
-      // Inline: one in-order pass preserves each shard's task order.
-      for (std::size_t i = 0; i < slots_used_; ++i) {
-        Slot& s = slots_[i];
-        if (is_shard_task(s.kind)) derive_slot(obj_shard(s.obj), s);
-      }
-    }
-  }
-
-  out.consumed = apply_slots(events);
-  if (out.consumed < prescanned) {
-    // A fallback check latched mid-batch: the tail events' slots were
-    // discarded and their events never count as fed. (Their prescan
-    // bookkeeping stands — harmless, since the latch is terminal.)
-    total_events_ = base_total + out.consumed;
-  }
-
-  if (out.consumed > 0 && opts_.gc && !latched() && pending_.empty() &&
-      nonuw_ == 0 && total_events_ >= gc_trigger_)
-    run_gc();
-  removed_this_event_ = false;
-  return out;
-}
-
-util::Result<Verdict> OnlineMonitor::feed(const Event& e) {
-  using R = util::Result<Verdict>;
-  FeedOutcome out = feed_batch(&e, 1);
-  if (!out.error.empty()) return R::error(std::move(out.error));
-  return R::ok(verdict_);
-}
-
-History OnlineMonitor::history_at(ObjId num_objects, TxnId synth_base) const {
+History OnlineMonitor::history() const {
   if (sealed_versions_.empty() && dead_events_ == 0)
-    return std::move(History::make(events_, num_objects)).value_or_die();
+    return std::move(History::make(events_, num_objects_)).value_or_die();
   // Retained reads may still be resolved to versions whose writers were
   // retired (sealed). Re-materialize each such version as one synthetic
   // committed writer prepended before the retained suffix, in install-rank
@@ -1172,7 +952,7 @@ History OnlineMonitor::history_at(ObjId num_objects, TxnId synth_base) const {
   std::sort(versions.begin(), versions.end());
   std::vector<Event> with_preamble;
   with_preamble.reserve(4 * versions.size() + retained_events());
-  TxnId synth = synth_base;
+  TxnId synth = max_txn_id_seen_;
   for (const auto& [rank, x, v] : versions) {
     (void)rank;
     ++synth;
@@ -1183,11 +963,7 @@ History OnlineMonitor::history_at(ObjId num_objects, TxnId synth_base) const {
   }
   for (std::size_t i = 0; i < events_.size(); ++i)
     if (dead_events_ == 0 || event_live(i)) with_preamble.push_back(events_[i]);
-  return std::move(History::make(with_preamble, num_objects)).value_or_die();
-}
-
-History OnlineMonitor::history() const {
-  return history_at(num_objects_, max_txn_id_seen_);
+  return std::move(History::make(with_preamble, num_objects_)).value_or_die();
 }
 
 std::optional<std::size_t> first_violation_index(

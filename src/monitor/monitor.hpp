@@ -51,41 +51,19 @@
 // it stays outside. Recorded STM runs take neither path: the canonical
 // install order is the order the STM actually produced.
 //
-// -- Sharded internals (feed_batch) ----------------------------------------
+// -- feed_batch ---------------------------------------------------------
 //
-// Feeding is organized as three strictly sequential phases over a batch of
-// events (feed() is a batch of one; the ingest pipeline hands whole parsed
-// chunks to feed_batch):
-//
-//   1. PRESCAN (serial). Validation, transaction bookkeeping, graph node
-//      allocation, reads-from candidate resolution decisions and the
-//      event-local latches — everything that needs transaction-global
-//      state — runs once over the batch, emitting an ordered list of
-//      slots: per-object tasks (chain insert/remove, read resolve/
-//      unresolve, initial read) routed to shard ObjId % S, direct edges
-//      whose endpoints prescan already knows (completion chain, reads-from
-//      edges), and one boundary slot per event.
-//   2. DERIVE (parallel). Shard s executes the per-object tasks with
-//      obj % S == s, in slot order, against its own per-object state
-//      (version chains in canonical install order, initial-read lists,
-//      per-object resolved-read lists), appending each task's edge ops —
-//      the expensive part: binary searches, splice retargets, initial-read
-//      fans. Shards share no mutable state: each object belongs to exactly
-//      one shard, and the transaction table is frozen during the phase
-//      (per-read anti-dependency targets are shard-written, but a read
-//      belongs to exactly one object).
-//   3. APPLY (serial). The slot list is replayed in order through the
-//      single Pearce-Kelly graph (util::IncrementalGraph), producing the
-//      exact edge sequence the serial monitor would have produced event by
-//      event; per-event boundaries then run the fast-path check or the
-//      bounded fallback against snapshots captured at prescan time.
-//
-// Because apply replays the identical link/unlink sequence, verdicts,
-// first-violation indices, stats and GC retirement decisions are
-// bit-identical for every shard count (tests/monitor_shard_test.cpp sweeps
-// this); batching only defers GC passes to batch ends, which is invisible
-// to verdicts. Cycle detection stays exact and deterministic: it is the
-// one serialized phase, amortized through IncrementalGraph::add_edges.
+// feed() is a batch of one, and the ingest pipeline hands whole parsed
+// chunks to feed_batch. Either way each event is taken in order: it is
+// validated, the transaction bookkeeping runs, then the chain, anti-
+// dependency and initial-read work links and unlinks its edges in the
+// single Pearce-Kelly graph (util::IncrementalGraph), and the event ends
+// with its verdict step (fast-path yes, or the bounded fallback). A batch
+// stops after the event that latches kNo and before a malformed event, so
+// a batch leaves the monitor in exactly the state feeding its consumed
+// events one at a time would; the one difference is that GC passes run
+// only at batch ends, which is invisible to verdicts
+// (tests/monitor_batch_test.cpp holds this).
 //
 // Settled-prefix garbage collection (MonitorOptions::gc) bounds resident
 // state to O(live transactions) for indefinite streams: a transaction is
@@ -138,7 +116,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -150,7 +127,6 @@
 #include "util/hash.hpp"
 #include "util/incremental_graph.hpp"
 #include "util/result.hpp"
-#include "util/threading.hpp"
 
 namespace duo::monitor {
 
@@ -187,12 +163,6 @@ struct MonitorOptions {
   /// pass that falls due elsewhere waits for the next such batch end. 0
   /// runs a pass after every event (for tests).
   std::size_t gc_retain_events = 4096;
-  /// Object shards for the parallel derive phase of feed_batch: per-object
-  /// state belongs to shard ObjId % shards. 1 (the default) derives on the
-  /// calling thread; 0 means one shard per hardware thread. Verdicts,
-  /// first-violation indices, stats and GC decisions are identical for
-  /// every value — shards change who computes, never what.
-  std::size_t shards = 1;
 };
 
 struct MonitorStats {
@@ -249,10 +219,10 @@ class OnlineMonitor {
     std::string error;
   };
 
-  /// Consume up to `n` events through the sharded prescan/derive/apply
-  /// path (see the header comment). Equivalent to feeding them one at a
-  /// time — same verdicts, first-violation index, stats and diagnostics —
-  /// except that GC passes run at batch boundaries only.
+  /// Consume up to `n` events in order (see the header comment).
+  /// Equivalent to feeding them one at a time — same verdicts,
+  /// first-violation index, stats and diagnostics — except that GC passes
+  /// run at batch ends only.
   FeedOutcome feed_batch(const Event* events, std::size_t n);
 
   /// Verdict for the prefix fed so far. kNo is latched: per prefix closure
@@ -272,7 +242,6 @@ class OnlineMonitor {
   std::size_t events_fed() const noexcept { return total_events_; }
   ObjId num_objects() const noexcept { return num_objects_; }
   const MonitorStats& stats() const noexcept { return stats_; }
-  std::size_t shards() const noexcept { return num_shards_; }
 
   /// Observability for long-running service use (duo_mond stats dumps and
   /// the flat-memory regression tests): the RSS-proxy resident state.
@@ -299,9 +268,6 @@ class OnlineMonitor {
   /// of reads_of_, so no later candidate traffic touches it; the version
   /// it read lives on in sealed_versions_ for fallback reconstruction.
   static constexpr std::size_t kSealedWriter = static_cast<std::size_t>(-2);
-  /// Below this many shard tasks in a batch, dispatching the worker gang
-  /// costs more than deriving inline.
-  static constexpr std::size_t kParallelDeriveThreshold = 64;
 
   // -- per-transaction incremental state (index = tix, dense in order of
   // first event) ----------------------------------------------------------
@@ -374,11 +340,7 @@ class OnlineMonitor {
     std::vector<std::size_t> cands;  // can-commit writers of (obj, value)
     std::size_t local_count = 0;     // cands with tryC invoked before resp
     std::size_t writer = kNone;      // resolved reads-from writer (tix)
-    /// Anti-dependency edge target (tix). Owned by the object's shard
-    /// during the derive phase (every other field is prescan-written and
-    /// frozen by then; a read belongs to exactly one object, so exactly
-    /// one shard touches it).
-    std::size_t antidep = kNone;
+    std::size_t antidep = kNone;     // anti-dependency edge target (tix)
 
     void reset() {
       reader = 0;
@@ -393,11 +355,9 @@ class OnlineMonitor {
     }
   };
 
-  // -- per-object shard state (sparse: created on first touch) ------------
-  /// One version-chain member: the install key is copied at task-emission
-  /// time because Txn::install_key mutates across a batch (a commit moves
-  /// the key from tryC invocation to tryC response) while the chain entry
-  /// must keep the key it was inserted under until its removal task.
+  // -- per-object state (sparse: created on first touch) ------------------
+  /// One version-chain member, with its install key copied in as the
+  /// chain's sort key (a commit re-keys a member only after taking it out).
   struct ChainEntry {
     std::uint64_t key = 0;
     std::size_t tix = kNone;
@@ -408,68 +368,16 @@ class OnlineMonitor {
     std::size_t reader = kNone;  // tix
     std::size_t reader_node = 0;
   };
-  struct ObjShard {
+  struct ObjState {
     /// Must-commit writers of this object in canonical install order.
     std::vector<ChainEntry> chain;
     /// Initial-value reads of this object; each keeps an edge to every
     /// chain member.
     std::vector<InitialRead> initial_reads;
     /// Writer tix -> reads of THIS object currently resolved to it, in
-    /// resolution order. The shard-local, per-object projection of
-    /// Txn::rf_reads, maintained task-by-task so splice retargets see the
-    /// resolution state as of their point in the serial order (the
-    /// coordinator's lists are frozen mid-batch and would be stale).
+    /// resolution order: the per-object projection of Txn::rf_reads, so a
+    /// splice retargets only the reads of the spliced object.
     std::unordered_map<std::size_t, std::vector<std::size_t>> rf;
-  };
-  struct ShardState {
-    std::unordered_map<ObjId, ObjShard> objs;
-  };
-
-  // -- the slot list (one batch's worth of work, in serial event order) ---
-  /// One graph-side effect of a shard task, replayed serially in apply.
-  struct Op {
-    enum class Kind : std::uint8_t { kLink, kUnlink, kAntidepIn };
-    Kind kind = Kind::kLink;
-    std::int32_t delta = 0;         // kAntidepIn: +1 / -1 on txns_[a]
-    std::size_t a = 0;              // edge source node, or tix
-    std::size_t b = 0;              // edge target node
-  };
-
-  struct Slot {
-    enum class Kind : std::uint8_t {
-      kDirectLink,    // edge a -> b, endpoints known at prescan
-      kDirectUnlink,  // edge a -> b released
-      kChainInsert,   // shard task: insert tix into obj's chain at key
-      kChainRemove,   // shard task: remove tix (at key) from obj's chain
-      kResolve,       // shard task: read rid resolved to writer (at key)
-      kUnresolve,     // shard task: read rid unresolved from writer
-      kInitialRead,   // shard task: initial-value read rid of obj
-      kBoundary,      // end of one event: verdict work happens here
-    };
-    Kind kind = Kind::kBoundary;
-    ObjId obj = -1;                  // shard routing key (shard tasks)
-    std::size_t a = 0, b = 0;        // direct edge endpoints (nodes)
-    std::size_t tix = kNone;         // chain subject
-    std::size_t node = 0;            // chain subject's graph node
-    std::uint64_t key = 0;           // install key (insert/remove/resolve)
-    std::size_t rid = kNone;         // read id (read tasks)
-    std::size_t reader = kNone;      // read's reader tix
-    std::size_t reader_node = 0;
-    std::size_t writer = kNone;      // resolve/unresolve writer tix
-    // Boundary payload: per-event snapshots taken at prescan time, so the
-    // fast-path check and fallback reconstruction see the prefix state
-    // even though the whole batch was prescanned up front.
-    std::size_t index = 0;       // absolute event index
-    std::size_t event_pos = 0;   // position within the fed batch
-    std::size_t nonuw = 0;       // nonuw_ after this event's handlers
-    ObjId num_objects = 0;
-    TxnId max_txn_id = 0;
-    bool frozen = false;  // monitor was already latched at batch start
-    bool latch = false;   // prescan latched at this event
-    std::string latch_reason;
-    // Derive output: the task's graph effects, in serial emission order.
-    std::vector<Op> ops;
-    std::uint32_t splices = 0;
   };
 
   std::string validate(const Event& e) const;
@@ -479,7 +387,7 @@ class OnlineMonitor {
   void latch_at(std::size_t index, std::string reason, bool by_fast_path);
   bool latched() const noexcept { return verdict_ == Verdict::kNo; }
 
-  // Edge bookkeeping (apply phase + GC): every desired edge goes through
+  // Edge bookkeeping (event handlers + GC): every desired edge goes through
   // link/unlink. A link that would close a cycle is parked in pending_
   // (the fast path is then suspended until it inserts cleanly after
   // removals thin the graph).
@@ -490,63 +398,38 @@ class OnlineMonitor {
   std::optional<Value> final_write_value(std::size_t tix, ObjId x) const;
   std::string read_desc(const Read& r) const;
 
-  // -- prescan (phase 1, serial) ------------------------------------------
-  Slot& emit(Slot::Kind kind);
-  Slot& emit_task(Slot::Kind kind, ObjId x);
-  void emit_direct(Slot::Kind kind, std::size_t a, std::size_t b);
-  void pre_latch(std::string reason);
-  void pre_enter_chains(std::size_t tix);
-  void pre_leave_chains(std::size_t tix);
-  void pre_resolve_read(std::size_t rid, std::size_t w);
-  void pre_unresolve_read(std::size_t rid);
-  void pre_reject_or_resolve(std::size_t rid);
-  void pre_new_transaction(std::size_t tix);
-  void pre_t_complete(std::size_t tix);
-  void pre_read_response(std::size_t tix, ObjId x, Value v,
-                         std::size_t resp_index);
-  void pre_tryc_invoked(std::size_t tix);
-  void pre_committed(std::size_t tix, std::size_t resp_index);
-  void pre_aborted(std::size_t tix, bool was_commit_pending);
-  /// Prescans events[0..n); returns the number fully prescanned (stops
-  /// after a latching event or before a malformed one, filling `error`).
-  std::size_t prescan(const Event* events, std::size_t n, std::string& error);
-
-  // -- derive (phase 2, parallel over shards) -----------------------------
-  static bool is_shard_task(Slot::Kind kind) noexcept {
-    return kind == Slot::Kind::kChainInsert ||
-           kind == Slot::Kind::kChainRemove || kind == Slot::Kind::kResolve ||
-           kind == Slot::Kind::kUnresolve || kind == Slot::Kind::kInitialRead;
-  }
-  std::size_t shard_of(ObjId x) const noexcept {
-    return static_cast<std::size_t>(x) % num_shards_;
-  }
-  ObjShard& obj_shard(ObjId x) { return shards_[shard_of(x)].objs[x]; }
+  // -- per-object work: version chains, anti-dependencies, initial reads --
   static std::size_t chain_lower_bound(const std::vector<ChainEntry>& chain,
                                        std::uint64_t key);
   /// Position of the member inserted under `key` (must be present).
   static std::size_t chain_find(const std::vector<ChainEntry>& chain,
                                 std::uint64_t key, std::size_t tix);
-  void derive_shard(std::size_t shard);
-  void derive_slot(ObjShard& os, Slot& s);
-  void derive_chain_insert(ObjShard& os, Slot& s);
-  void derive_chain_remove(ObjShard& os, Slot& s);
-  void derive_resolve(ObjShard& os, Slot& s);
-  void derive_unresolve(ObjShard& os, Slot& s);
-  void derive_initial_read(ObjShard& os, Slot& s);
-  void derive_retarget_read(const ObjShard& os, Slot& out, std::size_t rid,
-                            std::size_t wpos);
-  void derive_retarget_around(const ObjShard& os, Slot& out, std::size_t pos);
+  void chain_insert(ObjId x, std::size_t tix);
+  void chain_remove(ObjId x, std::size_t tix);
+  void retarget_read(const ObjState& os, std::size_t rid, std::size_t wpos);
+  void retarget_around(const ObjState& os, std::size_t pos);
 
-  // -- apply (phase 3, serial) --------------------------------------------
-  /// Replays the slot list through the graph and the per-event verdict
-  /// machinery. Returns the number of events consumed (apply stops after a
-  /// fallback check latches mid-batch).
-  std::size_t apply_slots(const Event* events);
-  void run_full_check(ObjId num_objects, TxnId synth_base, std::size_t index);
-  History history_at(ObjId num_objects, TxnId synth_base) const;
+  // -- transaction-global handlers ----------------------------------------
+  /// Event-local latch: the first reason within one event wins.
+  void latch_event(std::string reason);
+  void enter_chains(std::size_t tix);
+  void leave_chains(std::size_t tix);
+  void resolve_read(std::size_t rid, std::size_t w);
+  void unresolve_read(std::size_t rid);
+  void reject_or_resolve(std::size_t rid);
+  void new_transaction(std::size_t tix);
+  void t_complete(std::size_t tix);
+  void read_response(std::size_t tix, ObjId x, Value v,
+                     std::size_t resp_index);
+  void tryc_invoked(std::size_t tix);
+  void committed(std::size_t tix, std::size_t resp_index);
+  void aborted(std::size_t tix, bool was_commit_pending);
+  /// Feeds one validated event: bookkeeping, edge work, verdict step.
+  void feed_event(const Event& e);
+  void run_full_check(std::size_t index);
 
   // Settled-prefix garbage collection (all no-ops with opts_.gc off); runs
-  // only between batches, where the coordinator owns all shard state.
+  // only at batch ends.
   std::size_t live_horizon();
   bool txn_settled(std::size_t tix, std::size_t horizon) const;
   /// Drops one anti-dependency pin on `tix`, re-seeding it if parked.
@@ -563,7 +446,6 @@ class OnlineMonitor {
   void compact_log();
 
   MonitorOptions opts_;
-  std::size_t num_shards_ = 1;
   ObjId num_objects_ = 0;
   /// Retained events, in feed order. Without GC this is every event ever
   /// fed; with GC, retired transactions' events turn dead and are
@@ -596,19 +478,11 @@ class OnlineMonitor {
                      util::PairHash>
       writers_of_;
 
-  /// Per-object state, owned by shard ObjId % num_shards_. Only the derive
-  /// phase touches it concurrently (one shard per object); prescan never
-  /// reads it and GC runs between batches on the coordinator thread.
-  std::vector<ShardState> shards_;
-  std::unique_ptr<util::WorkerGang> gang_;  // created on first parallel use
+  std::unordered_map<ObjId, ObjState> objs_;
 
-  /// The batch slot list, pooled across feed_batch calls (slots_used_ is
-  /// the live prefix; Slot::ops vectors keep their capacity).
-  std::vector<Slot> slots_;
-  std::size_t slots_used_ = 0;
-  std::size_t shard_task_count_ = 0;
-  bool pre_latched_ = false;
-  std::string pre_latch_reason_;
+  /// The current event's event-local latch (see latch_event).
+  bool event_latched_ = false;
+  std::string event_latch_reason_;
 
   util::IncrementalGraph graph_;
   /// ≺RT sparsification chain. Each entry is one t-completion's chain node;

@@ -1,5 +1,5 @@
 // Long-running verification daemon: tail a growing trace file through the
-// sharded ingest pipeline indefinitely, with bounded memory and live stats.
+// ingest pipeline indefinitely, with bounded memory and live stats.
 //
 // Two pieces:
 //

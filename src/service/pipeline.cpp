@@ -79,9 +79,8 @@ void IngestPipeline::apply(const history::ParsedEvents& pe) {
                 /*is_error=*/true);
     return;
   }
-  // One sharded feed_batch per parsed chunk: prescan once, derive
-  // per-object work across the monitor's shards, apply serially. Verdicts
-  // and first-violation indices are identical to per-event feeding.
+  // One feed_batch per parsed chunk. Verdicts and first-violation indices
+  // are identical to per-event feeding.
   const auto out = monitor_.feed_batch(pe.events.data(), pe.events.size());
   if (!out.error.empty()) {
     stop_locked("malformed event stream: " + out.error, /*is_error=*/true);

@@ -1,4 +1,4 @@
-// Sharded ingest pipeline for long-running trace verification.
+// Ingest pipeline for long-running trace verification.
 //
 // The monitor's constraint graph is inherently serial — every edge insertion
 // mutates one Pearce-Kelly topological order — but most of the per-event

@@ -155,42 +155,6 @@ bool IncrementalGraph::add_edge(std::size_t a, std::size_t b) {
   return true;
 }
 
-std::size_t IncrementalGraph::add_edges(const EdgeRef* edges, std::size_t n,
-                                        std::vector<bool>* ok) {
-  if (ok) {
-    ok->clear();
-    ok->resize(n, false);
-  }
-  std::size_t added = 0;
-  std::size_t i = 0;
-  while (i < n) {
-    const std::size_t a = edges[i].from;
-    const std::size_t b = edges[i].to;
-    const bool first = add_edge(a, b);
-    if (ok) (*ok)[i] = first;
-    if (first) ++added;
-    ++i;
-    if (i < n && edges[i].from == a && edges[i].to == b) {
-      std::size_t dup = 0;
-      while (i < n && edges[i].from == a && edges[i].to == b) {
-        if (ok) (*ok)[i] = first;
-        ++dup;
-        ++i;
-      }
-      if (first) {
-        const auto it = find_in(out_[a], b);
-        DUO_ASSERT(it != out_[a].end());
-        it->count += static_cast<std::uint32_t>(dup);
-        const auto rit = find_in(in_[b], a);
-        DUO_ASSERT(rit != in_[b].end());
-        rit->count += static_cast<std::uint32_t>(dup);
-        added += dup;
-      }
-    }
-  }
-  return added;
-}
-
 void IncrementalGraph::remove_edge(std::size_t a, std::size_t b) {
   DUO_EXPECTS(a < out_.size() && b < out_.size());
   const auto it = find_in(out_[a], b);

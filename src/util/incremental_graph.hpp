@@ -24,8 +24,8 @@
 // coincide) and releases them independently.
 //
 // Adjacency is flat sorted vectors of (neighbor, refcount), not per-node
-// trees: the per-edge constant is the hot cost of the monitor's sharded
-// ingest path, degrees are small (a few edges per transaction), and a
+// trees: the per-edge constant is the hot cost of the monitor's ingest
+// path, degrees are small (a few edges per transaction), and a
 // binary search plus a short memmove beats a red-black tree at these sizes
 // while keeping neighbor iteration deterministic (sorted by id).
 //
@@ -59,25 +59,6 @@ class IncrementalGraph {
   /// would close a cycle — in that case the graph is left unchanged. A
   /// self-loop is reported as a cycle.
   bool add_edge(std::size_t a, std::size_t b);
-
-  /// One entry of an add_edges batch: a reference to the edge from -> to.
-  struct EdgeRef {
-    std::size_t from;
-    std::size_t to;
-  };
-
-  /// Adds one reference per entry, in order, with exactly add_edge's
-  /// per-entry semantics: entry i succeeds iff add_edge(from, to) would
-  /// have at that point, and a failed entry leaves the graph unchanged.
-  /// Returns the number of entries added; when `ok` is non-null it is
-  /// resized to `n` with the per-entry outcomes. What the batch buys over
-  /// n add_edge calls: a run of identical consecutive pairs collapses to a
-  /// bulk refcount bump after the first entry's full insertion (and a
-  /// repeated failure needs no second affected-region search — between
-  /// identical consecutive entries the graph is unchanged, so the outcome
-  /// repeats), and the region-search scratch stays warm across entries.
-  std::size_t add_edges(const EdgeRef* edges, std::size_t n,
-                        std::vector<bool>* ok = nullptr);
 
   /// Releases one reference to the edge a -> b; the edge disappears when
   /// its count reaches zero. The edge must currently exist.

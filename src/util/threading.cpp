@@ -1,5 +1,7 @@
 #include "util/threading.hpp"
 
+#include <vector>
+
 #include "util/assert.hpp"
 
 namespace duo::util {
@@ -22,53 +24,6 @@ void run_threads(std::size_t n, const std::function<void(std::size_t)>& body) {
     });
   }
   for (auto& t : threads) t.join();
-}
-
-WorkerGang::WorkerGang(std::size_t parties) {
-  DUO_EXPECTS(parties > 0);
-  threads_.reserve(parties);
-  for (std::size_t i = 0; i < parties; ++i) {
-    threads_.emplace_back([this, i] { worker_main(i); });
-  }
-}
-
-WorkerGang::~WorkerGang() {
-  {
-    MutexLock lock(mutex_);
-    shutdown_ = true;
-    work_cv_.notify_all();
-  }
-  for (auto& t : threads_) t.join();
-}
-
-void WorkerGang::run(const std::function<void(std::size_t)>& job) {
-  MutexLock lock(mutex_);
-  DUO_ASSERT(running_ == 0 && job_ == nullptr);
-  job_ = &job;
-  running_ = threads_.size();
-  ++generation_;
-  work_cv_.notify_all();
-  while (running_ > 0) done_cv_.wait(mutex_);
-  job_ = nullptr;
-}
-
-void WorkerGang::worker_main(std::size_t index) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    const std::function<void(std::size_t)>* job = nullptr;
-    {
-      MutexLock lock(mutex_);
-      while (generation_ == seen && !shutdown_) work_cv_.wait(mutex_);
-      if (shutdown_) return;
-      seen = generation_;
-      job = job_;
-    }
-    (*job)(index);
-    {
-      MutexLock lock(mutex_);
-      if (--running_ == 0) done_cv_.notify_all();
-    }
-  }
 }
 
 }  // namespace duo::util

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <thread>
-#include <vector>
 
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
@@ -107,51 +106,10 @@ class ScopedThread {
   std::thread thread_;
 };
 
-/// Persistent fork-join worker pool for repeated small parallel sections.
-/// run_threads spawns and joins fresh threads per call — fine for tests,
-/// far too slow for a per-event-batch parallel phase (thread creation is
-/// ~10us; the monitor's whole derive phase for a batch can be shorter).
-/// WorkerGang keeps `parties` threads parked on a condition variable and
-/// wakes them per run(): dispatch is one lock + notify, not a clone().
-///
-/// Not reentrant: run() may not be called from inside a job, and only one
-/// run() may be active at a time (the monitor calls it from its single
-/// feed_batch thread).
-class WorkerGang {
- public:
-  explicit WorkerGang(std::size_t parties);
-  ~WorkerGang();
-  WorkerGang(const WorkerGang&) = delete;
-  WorkerGang& operator=(const WorkerGang&) = delete;
-
-  std::size_t parties() const noexcept { return threads_.size(); }
-
-  /// Runs job(i) for every i in [0, parties()), each on its own worker
-  /// thread, and returns once all of them have finished. Exceptions in
-  /// jobs are fatal by design, matching run_threads.
-  void run(const std::function<void(std::size_t)>& job);
-
- private:
-  void worker_main(std::size_t index);
-
-  Mutex mutex_;
-  CondVar work_cv_;
-  CondVar done_cv_;
-  const std::function<void(std::size_t)>* job_ DUO_GUARDED_BY(mutex_) =
-      nullptr;
-  std::uint64_t generation_ DUO_GUARDED_BY(mutex_) = 0;
-  std::size_t running_ DUO_GUARDED_BY(mutex_) = 0;
-  bool shutdown_ DUO_GUARDED_BY(mutex_) = false;
-  // unguarded: written only by the constructor and the destructor's
-  // joins, which happen-after every worker exits; workers never touch
-  // the vector itself.
-  std::vector<std::thread> threads_;
-};
-
 /// Resolves a requested worker count: 0 means hardware concurrency
 /// (minimum 1 — hardware_concurrency() may itself report 0). The single
 /// policy point for every "0 = auto" knob (CheckerPool, the parallel
-/// explorer sweep).
+/// explorer sweep, the ingest pipeline's parse workers).
 std::size_t resolve_threads(std::size_t requested) noexcept;
 
 }  // namespace duo::util

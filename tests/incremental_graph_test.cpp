@@ -184,75 +184,6 @@ TEST(IncrementalGraph, SteadyStateChurnKeepsSlotCountBounded) {
   }
 }
 
-TEST(IncrementalGraph, AddEdgesMatchesPerEdgeSemantics) {
-  // The batched API must report exactly what the equivalent add_edge
-  // sequence would: entry 3 closes a cycle and fails, everything else
-  // lands (including the duplicate refcount bump).
-  IncrementalGraph g;
-  for (int i = 0; i < 4; ++i) g.add_node();
-  const IncrementalGraph::EdgeRef edges[] = {
-      {0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 1}, {0, 2}};
-  std::vector<bool> ok;
-  EXPECT_EQ(g.add_edges(edges, 6, &ok), 5u);
-  const std::vector<bool> expected = {true, true, true, false, true, true};
-  EXPECT_EQ(ok, expected);
-  EXPECT_EQ(g.num_edges(), 4u);  // 0->1 held twice, counted once
-  g.remove_edge(0, 1);
-  EXPECT_TRUE(g.has_edge(0, 1));  // the duplicate reference survives
-  g.remove_edge(0, 1);
-  EXPECT_FALSE(g.has_edge(0, 1));
-}
-
-TEST(IncrementalGraph, AddEdgesBulksConsecutiveDuplicates) {
-  // A run of identical consecutive entries collapses to one insertion plus
-  // a refcount bump — successful and failing runs both repeat the first
-  // entry's outcome.
-  IncrementalGraph g;
-  for (int i = 0; i < 3; ++i) g.add_node();
-  ASSERT_TRUE(g.add_edge(0, 1));
-  const IncrementalGraph::EdgeRef dups[] = {
-      {1, 2}, {1, 2}, {1, 2}, {1, 0}, {1, 0}};
-  std::vector<bool> ok;
-  EXPECT_EQ(g.add_edges(dups, 5, &ok), 3u);
-  const std::vector<bool> expected = {true, true, true, false, false};
-  EXPECT_EQ(ok, expected);
-  for (int i = 0; i < 3; ++i) g.remove_edge(1, 2);
-  EXPECT_FALSE(g.has_edge(1, 2));
-  EXPECT_FALSE(g.has_edge(1, 0));
-}
-
-TEST(IncrementalGraph, AddEdgesAgreesWithPerEdgeInsertionRandomized) {
-  // Random batches against a twin graph driven one add_edge at a time:
-  // per-entry outcomes and final edge counts must agree exactly.
-  Xoshiro256 rng(2024);
-  IncrementalGraph batched, serial;
-  constexpr std::size_t kNodes = 12;
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    batched.add_node();
-    serial.add_node();
-  }
-  for (int round = 0; round < 200; ++round) {
-    std::vector<IncrementalGraph::EdgeRef> edges;
-    const std::size_t n = 1 + static_cast<std::size_t>(rng.below(8));
-    for (std::size_t i = 0; i < n; ++i) {
-      IncrementalGraph::EdgeRef e{static_cast<std::size_t>(rng.below(kNodes)),
-                                  static_cast<std::size_t>(rng.below(kNodes))};
-      edges.push_back(e);
-      if (rng.below(3) == 0) edges.push_back(e);  // force duplicate runs
-    }
-    std::vector<bool> ok;
-    const std::size_t added = batched.add_edges(edges.data(), edges.size(), &ok);
-    std::size_t serial_added = 0;
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      const bool got = serial.add_edge(edges[i].from, edges[i].to);
-      ASSERT_EQ(got, ok[i]) << "round " << round << " entry " << i;
-      serial_added += got;
-    }
-    ASSERT_EQ(added, serial_added);
-    ASSERT_EQ(batched.num_edges(), serial.num_edges());
-  }
-}
-
 class IncrementalGraphRandom : public ::testing::TestWithParam<std::uint64_t> {
 };
 

@@ -1,20 +1,20 @@
-// Sharded monitor internals: feed_batch with any shard count must be
-// bit-identical to the serial per-event monitor. The apply phase replays
-// the exact link/unlink sequence the serial monitor would execute, so not
+// Batched feeding: feed_batch must be bit-identical to the per-event
+// monitor. Both take each event in order through the same handlers, so not
 // just verdicts and first-violation indices but the whole stats block
 // (edges added/removed, chain splices, deferred edges, fast-path counts)
-// must match for every shard count and batch size; GC pacing is the one
-// sanctioned divergence (passes run at batch ends only), so GC-on runs
+// and the resident state must match for every batch size; GC pacing is the
+// one sanctioned divergence (passes run at batch ends only), so GC-on runs
 // with multi-event batches are held to verdict-level equivalence.
 // Histories come from a 200-seed generator sweep (du-opaque, unrestricted,
 // and mutants around the du boundary), recorded runs of every backend in
 // the STM registry, and a streaming synthetic workload that drives one
-// million events through a 4-shard monitor to pin the flat-memory property
+// million events through batched feeding to pin the flat-memory property
 // on the batched path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,7 +42,38 @@ struct RunResult {
   std::string explanation;
   std::size_t events_fed = 0;
   MonitorStats stats;
+  // Resident state.
+  std::size_t graph_nodes = 0;
+  std::size_t live_transactions = 0;
+  history::ObjId num_objects = 0;
+  std::size_t retained_events = 0;
 };
+
+RunResult result_of(const OnlineMonitor& mon) {
+  RunResult r;
+  r.verdict = mon.verdict();
+  r.first_violation = mon.first_violation();
+  r.explanation = mon.explanation();
+  r.events_fed = mon.events_fed();
+  r.stats = mon.stats();
+  r.graph_nodes = mon.graph_nodes();
+  r.live_transactions = mon.live_transactions();
+  r.num_objects = mon.num_objects();
+  r.retained_events = mon.retained_events();
+  return r;
+}
+
+/// The reference: feed() one event at a time, skipping a malformed event
+/// (the monitor already discarded it) and stopping after a latch.
+RunResult run_per_event(const std::vector<Event>& events,
+                        const MonitorOptions& opts) {
+  OnlineMonitor mon(opts);
+  for (const Event& e : events) {
+    if (!mon.feed(e).has_value()) continue;
+    if (mon.verdict() == Verdict::kNo) break;
+  }
+  return result_of(mon);
+}
 
 /// Streams `events` through one monitor in chunks of `batch` (0 = one
 /// batch for everything), with the same termination and error semantics as
@@ -64,13 +95,7 @@ RunResult run_batched(const std::vector<Event>& events,
       break;  // latched: the rest of the batch is beyond the violation
     }
   }
-  RunResult r;
-  r.verdict = mon.verdict();
-  r.first_violation = mon.first_violation();
-  r.explanation = mon.explanation();
-  r.events_fed = mon.events_fed();
-  r.stats = mon.stats();
-  return r;
+  return result_of(mon);
 }
 
 void expect_same_outcome(const RunResult& ref, const RunResult& got,
@@ -85,8 +110,10 @@ void expect_same_outcome(const RunResult& ref, const RunResult& got,
   EXPECT_EQ(ref.events_fed, got.events_fed) << label;
 }
 
-void expect_same_stats(const MonitorStats& a, const MonitorStats& b,
+void expect_same_state(const RunResult& ref, const RunResult& got,
                        const std::string& label) {
+  const MonitorStats& a = ref.stats;
+  const MonitorStats& b = got.stats;
   EXPECT_EQ(a.events, b.events) << label;
   EXPECT_EQ(a.fast_yes, b.fast_yes) << label;
   EXPECT_EQ(a.full_checks, b.full_checks) << label;
@@ -100,66 +127,52 @@ void expect_same_stats(const MonitorStats& a, const MonitorStats& b,
   EXPECT_EQ(a.retired_events, b.retired_events) << label;
   EXPECT_EQ(a.sealed_reads, b.sealed_reads) << label;
   EXPECT_EQ(a.latched_by_fast_path, b.latched_by_fast_path) << label;
+  EXPECT_EQ(ref.graph_nodes, got.graph_nodes) << label;
+  EXPECT_EQ(ref.live_transactions, got.live_transactions) << label;
+  EXPECT_EQ(ref.num_objects, got.num_objects) << label;
+  EXPECT_EQ(ref.retained_events, got.retained_events) << label;
 }
 
-/// The full equivalence matrix for one event sequence: shard counts
-/// {1, 2, 4, 8} x batch sizes {1, 7, whole} x GC {off, on}, all against
-/// the serial per-event monitor. Batch-of-1 runs (any shard count) and
-/// GC-off runs (any batch size) must be bit-identical in stats too; GC-on
-/// multi-event batches only defer collection passes, so they are held to
-/// verdicts, indices, diagnostics and event counts.
-void expect_shard_equivalent(const std::vector<Event>& events,
+/// The full equivalence matrix for one event sequence: batch sizes
+/// {1, 7, whole} x GC {off, on}, all against feeding one event at a time.
+/// Batch-of-1 runs and GC-off runs (any batch size) must be bit-identical
+/// in stats and resident state too; GC-on multi-event batches only defer
+/// collection passes, so they are held to verdicts, indices, diagnostics
+/// and event counts.
+void expect_batch_equivalent(const std::vector<Event>& events,
                              const std::string& label) {
   for (const bool gc : {false, true}) {
-    MonitorOptions ref_opts;
-    ref_opts.gc = gc;
-    ref_opts.gc_retain_events = 0;  // collect at every opportunity
-    const RunResult ref = run_batched(events, ref_opts, 1);
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                     std::size_t{4}, std::size_t{8}}) {
-      for (const std::size_t batch :
-           {std::size_t{1}, std::size_t{7}, std::size_t{0}}) {
-        if (shards == 1 && batch == 1) continue;  // that IS the reference
-        MonitorOptions opts = ref_opts;
-        opts.shards = shards;
-        const RunResult got = run_batched(events, opts, batch);
-        const std::string tag = label + " [gc=" + (gc ? "on" : "off") +
-                                " shards=" + std::to_string(shards) +
-                                " batch=" + std::to_string(batch) + "]";
-        expect_same_outcome(ref, got, tag);
-        if (!gc || batch == 1) expect_same_stats(ref.stats, got.stats, tag);
-      }
+    MonitorOptions opts;
+    opts.gc = gc;
+    opts.gc_retain_events = 0;  // collect at every opportunity
+    const RunResult ref = run_per_event(events, opts);
+    for (const std::size_t batch :
+         {std::size_t{1}, std::size_t{7}, std::size_t{0}}) {
+      const RunResult got = run_batched(events, opts, batch);
+      const std::string tag = label + " [gc=" + (gc ? "on" : "off") +
+                              " batch=" + std::to_string(batch) + "]";
+      expect_same_outcome(ref, got, tag);
+      if (!gc || batch == 1) expect_same_state(ref, got, tag);
     }
   }
 }
 
-void expect_shard_equivalent(const History& h) {
-  expect_shard_equivalent(h.events(), history::compact(h));
+void expect_batch_equivalent(const History& h) {
+  expect_batch_equivalent(h.events(), history::compact(h));
 }
 
-TEST(MonitorShard, ShardCountResolvesAndIsObservable) {
-  MonitorOptions opts;
-  opts.shards = 4;
-  EXPECT_EQ(OnlineMonitor(opts).shards(), 4u);
-  opts.shards = 0;  // hardware concurrency, minimum 1
-  EXPECT_GE(OnlineMonitor(opts).shards(), 1u);
-  EXPECT_EQ(OnlineMonitor().shards(), 1u);
-}
-
-TEST(MonitorShard, WholeTraceAsOneBatchMatchesPerEventFeeding) {
+TEST(MonitorBatch, WholeTraceAsOneBatchMatchesPerEventFeeding) {
   const auto h = history::parse_history_or_die(
       "W1(X0,1) C1 R2(X0)=1 W2(X1,2) C2 R3(X1)=2 W3(X0,3) C3 R4(X0)=3 C4");
-  expect_shard_equivalent(h);
+  expect_batch_equivalent(h);
 }
 
-TEST(MonitorShard, MidBatchViolationLatchesAtTheSameIndex) {
+TEST(MonitorBatch, MidBatchViolationLatchesAtTheSameIndex) {
   // The violating read is mid-trace: a whole-trace batch must latch at the
   // same 0-based index and stop consuming there.
   const std::vector<Event> events =
       history::parse_history_or_die("W1(X0,1) R2(X0)=1 C1 C2").events();
-  MonitorOptions opts;
-  opts.shards = 4;
-  OnlineMonitor mon(opts);
+  OnlineMonitor mon;
   const auto out = mon.feed_batch(events.data(), events.size());
   EXPECT_TRUE(out.error.empty()) << out.error;
   EXPECT_EQ(mon.verdict(), Verdict::kNo);
@@ -169,7 +182,43 @@ TEST(MonitorShard, MidBatchViolationLatchesAtTheSameIndex) {
   EXPECT_EQ(mon.events_fed(), 4u);
 }
 
-TEST(MonitorShard, MalformedEventStopsTheBatchBeforeIt) {
+TEST(MonitorBatch, FallbackLatchMidBatchLeavesNoTail) {
+  // T2's initial-value read of X0 must precede T1, which completed before
+  // T2 started: the anti-dependency closes a cycle, the edge is parked and
+  // the fallback check latches at the read response (index 6). The rest of
+  // the batch (T2's abort) is not consumed, and must leave no trace: the
+  // monitor holds exactly what per-event feeding up to the latch holds, and
+  // still accepts the next event.
+  const std::vector<Event> events =
+      history::parse_history_or_die("R3?(X0) W1(X0,1) C1 R2(X0)=0 C2=A")
+          .events();
+  ASSERT_EQ(events.size(), 9u);
+  OnlineMonitor per_event;
+  for (std::size_t i = 0; i < 7; ++i)
+    ASSERT_TRUE(per_event.feed(events[i]).has_value());
+  ASSERT_EQ(per_event.verdict(), Verdict::kNo);
+  ASSERT_EQ(per_event.first_violation(), std::optional<std::size_t>(6));
+  EXPECT_FALSE(per_event.stats().latched_by_fast_path);
+
+  OnlineMonitor batched;
+  const auto out = batched.feed_batch(events.data(), events.size());
+  EXPECT_TRUE(out.error.empty()) << out.error;
+  EXPECT_EQ(out.consumed, 7u);
+  EXPECT_EQ(batched.first_violation(), per_event.first_violation());
+  EXPECT_EQ(batched.events_fed(), per_event.events_fed());
+  EXPECT_EQ(batched.graph_nodes(), per_event.graph_nodes());
+  EXPECT_EQ(batched.live_transactions(), per_event.live_transactions());
+  EXPECT_EQ(batched.num_objects(), per_event.num_objects());
+  EXPECT_EQ(batched.retained_events(), per_event.retained_events());
+  const auto next_per_event = per_event.feed(events[7]);
+  const auto next_batched = batched.feed(events[7]);
+  ASSERT_TRUE(next_per_event.has_value()) << next_per_event.error();
+  ASSERT_TRUE(next_batched.has_value()) << next_batched.error();
+  EXPECT_EQ(batched.events_fed(), per_event.events_fed());
+  expect_batch_equivalent(events, "fallback latch mid-batch");
+}
+
+TEST(MonitorBatch, MalformedEventStopsTheBatchBeforeIt) {
   // Event index 2 repeats T1's read of X0: feed_batch must consume exactly
   // the two well-formed events, report the diagnostic, and stay usable.
   std::vector<Event> events = {Event::inv_read(1, 0),
@@ -183,16 +232,15 @@ TEST(MonitorShard, MalformedEventStopsTheBatchBeforeIt) {
   ASSERT_TRUE(mon.feed(Event::inv_tryc(1)).has_value());
 }
 
-TEST(MonitorShard, PaperFiguresAreShardEquivalent) {
-  expect_shard_equivalent(history::figures::fig1());
-  expect_shard_equivalent(history::figures::fig3());
-  expect_shard_equivalent(history::figures::fig4());
+TEST(MonitorBatch, PaperFiguresAreBatchEquivalent) {
+  expect_batch_equivalent(history::figures::fig1());
+  expect_batch_equivalent(history::figures::fig3());
+  expect_batch_equivalent(history::figures::fig4());
 }
 
-TEST(MonitorShard, ManyObjectsSpreadAcrossShards) {
-  // More objects than shards, object ids hitting every residue class, with
-  // cross-object readers — the interleaving that would expose any
-  // cross-shard ordering mistake in the derive phase.
+TEST(MonitorBatch, ManyObjectsWithCrossObjectReaders) {
+  // Thirteen objects, with each round's reader and writer on different
+  // ones, so per-object chains and reads interleave across the batch.
   std::vector<Event> events;
   constexpr history::ObjId kObjects = 13;
   history::TxnId next = 1;
@@ -214,15 +262,15 @@ TEST(MonitorShard, ManyObjectsSpreadAcrossShards) {
     events.push_back(Event::resp_commit(r));
     cur[static_cast<std::size_t>(y)] = v;
   }
-  expect_shard_equivalent(events, "many-objects interleave");
+  expect_batch_equivalent(events, "many-objects interleave");
 }
 
 // -- 200-seed generator sweep ------------------------------------------------
 
-class MonitorShardSweep : public ::testing::TestWithParam<std::uint64_t> {};
+class MonitorBatchSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(MonitorShardSweep, GeneratedHistoriesAreShardEquivalent) {
-  // 8 shards x 25 seeds = the 200-seed sweep, kept parallelizable.
+TEST_P(MonitorBatchSweep, GeneratedHistoriesAreBatchEquivalent) {
+  // 8 instances x 25 seeds = the 200-seed sweep, kept parallelizable.
   for (std::uint64_t s = 0; s < 25; ++s) {
     const std::uint64_t seed = GetParam() * 25 + s + 1;
     util::Xoshiro256 rng(seed);
@@ -232,17 +280,17 @@ TEST_P(MonitorShardSweep, GeneratedHistoriesAreShardEquivalent) {
     opts.value_range = 2;
     const auto h = (seed % 2 == 0) ? gen::random_history(opts, rng)
                                    : gen::random_du_history(opts, rng);
-    expect_shard_equivalent(h);
+    expect_batch_equivalent(h);
     util::Xoshiro256 mrng(seed * 131 + 17);
     auto m = gen::random_du_history(opts, mrng);
     m = gen::mutate(m, mrng);
-    expect_shard_equivalent(m);
+    expect_batch_equivalent(m);
   }
 }
 
-TEST_P(MonitorShardSweep, UniqueWriteMixesAreShardEquivalent) {
-  // The unique-writes class is the sharded path's steady-state diet:
-  // deeper histories, more transactions, several objects per shard.
+TEST_P(MonitorBatchSweep, UniqueWriteMixesAreBatchEquivalent) {
+  // The unique-writes class is the batched path's steady-state diet:
+  // deeper histories, more transactions, several objects.
   util::Xoshiro256 rng(GetParam() * 977 + 5);
   gen::GenOptions opts;
   opts.num_txns = 12;
@@ -250,20 +298,20 @@ TEST_P(MonitorShardSweep, UniqueWriteMixesAreShardEquivalent) {
   opts.unique_writes = true;
   for (int iter = 0; iter < 3; ++iter) {
     const auto h = gen::random_du_history(opts, rng);
-    expect_shard_equivalent(h);
+    expect_batch_equivalent(h);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, MonitorShardSweep,
+INSTANTIATE_TEST_SUITE_P(Seeds, MonitorBatchSweep,
                          ::testing::Values(0ull, 1ull, 2ull, 3ull, 4ull, 5ull,
                                            6ull, 7ull));
 
 // -- recorded STM executions -------------------------------------------------
 
-class MonitorShardRecordingEquivalence
+class MonitorBatchRecordingEquivalence
     : public ::testing::TestWithParam<stm::BackendInfo> {};
 
-TEST_P(MonitorShardRecordingEquivalence, RecordedRunsAreShardEquivalent) {
+TEST_P(MonitorBatchRecordingEquivalence, RecordedRunsAreBatchEquivalent) {
   for (const std::uint64_t seed : {11ull, 12ull, 13ull}) {
     stm::Recorder rec(1 << 12);
     auto s = stm::make_stm(GetParam().name, 3, &rec);
@@ -277,12 +325,12 @@ TEST_P(MonitorShardRecordingEquivalence, RecordedRunsAreShardEquivalent) {
     wopts.seed = seed;
     stm::run_random_mix(*s, wopts);
     const auto h = rec.finish(s->num_objects());
-    expect_shard_equivalent(h);
+    expect_batch_equivalent(h);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Registry, MonitorShardRecordingEquivalence,
+    Registry, MonitorBatchRecordingEquivalence,
     ::testing::ValuesIn(stm::registered_backends()),
     [](const ::testing::TestParamInfo<stm::BackendInfo>& info) {
       return stm::test_identifier(info.param);
@@ -291,9 +339,8 @@ INSTANTIATE_TEST_SUITE_P(
 // -- flat-memory regression over one million batched events -------------------
 
 // Same streaming synthetic workload as tests/monitor_gc_test.cpp, but
-// accumulated into feed_batch chunks large enough to cross the parallel
-// derive threshold, so the worker gang actually runs while GC holds
-// resident state flat.
+// accumulated into feed_batch chunks, so GC passes run at batch ends while
+// holding resident state flat.
 class StreamingWorkload {
  public:
   explicit StreamingWorkload(std::size_t objects) : cur_(objects, 0) {}
@@ -328,14 +375,13 @@ class StreamingWorkload {
   std::int64_t next_txn_ = 1;
 };
 
-TEST(MonitorShard, ResidentStateStaysFlatOverOneMillionBatchedEvents) {
+TEST(MonitorBatch, ResidentStateStaysFlatOverOneMillionBatchedEvents) {
   constexpr std::size_t kTarget = 1'000'000;
   constexpr std::size_t kObjects = 8;
-  constexpr std::size_t kPairsPerBatch = 24;  // 288 events, ~100+ shard tasks
+  constexpr std::size_t kPairsPerBatch = 24;  // 288 events
   MonitorOptions opts;
   opts.gc = true;
   opts.gc_retain_events = 512;
-  opts.shards = 4;
   OnlineMonitor mon(opts);
   StreamingWorkload wl(kObjects);
   std::vector<Event> batch;

@@ -4,9 +4,6 @@
 //     independent of the worker count and chunking, and must equal a plain
 //     OnlineMonitor fed the same events in one thread — the reorder ring
 //     is what makes parallel parsing invisible to the serial monitor.
-//   - CheckerPool::locate_first_violation: the prefix-sharded parallel
-//     search must return exactly checker::first_bad_prefix for every shard
-//     count.
 //   - FollowReader: token-boundary chunking, idle cutoff, stop flag, and
 //     the rotation/truncation terminal states.
 //   - run_daemon: end-to-end over real files, including the inconclusive
@@ -68,8 +65,7 @@ std::vector<std::string> chunk_tokens(const std::string& text,
 void expect_pipeline_matches_monitor(const history::History& h,
                                      std::size_t workers,
                                      std::size_t tokens_per_chunk,
-                                     const std::string& label,
-                                     std::size_t shards = 1) {
+                                     const std::string& label) {
   monitor::MonitorOptions mopts;
   mopts.gc = true;
   mopts.gc_retain_events = 64;
@@ -84,7 +80,6 @@ void expect_pipeline_matches_monitor(const history::History& h,
   popts.workers = workers;
   popts.ring_capacity = 8;  // small: exercises producer back-pressure
   popts.monitor = mopts;
-  popts.monitor.shards = shards;
   IngestPipeline pipeline(popts);
   for (auto& chunk : chunk_tokens(history::compact(h), tokens_per_chunk)) {
     if (!pipeline.submit(std::move(chunk))) break;  // latched early: fine
@@ -115,10 +110,10 @@ TEST(IngestPipeline, MatchesSingleThreadedMonitorAcrossWorkerCounts) {
   }
 }
 
-TEST(IngestPipeline, MatchesSingleThreadedMonitorAcrossShardCounts) {
-  // The parse-worker sweep above holds chunking invariance; this one holds
-  // the monitor-internal shard sweep through the whole service stack
-  // (chunks reach the monitor via feed_batch, one batch per parsed chunk).
+TEST(IngestPipeline, MatchesSingleThreadedMonitorOnBatchedChunks) {
+  // More histories through the whole service stack with multi-event
+  // chunks, which reach the monitor via feed_batch, one batch per parsed
+  // chunk.
   util::Xoshiro256 rng(19);
   gen::GenOptions opts;
   opts.num_txns = 10;
@@ -126,14 +121,11 @@ TEST(IngestPipeline, MatchesSingleThreadedMonitorAcrossShardCounts) {
   for (int i = 0; i < 15; ++i) {
     const history::History h = i % 2 == 0 ? gen::random_du_history(opts, rng)
                                           : gen::random_history(opts, rng);
-    for (const std::size_t shards : {2u, 4u, 8u}) {
-      for (const std::size_t per_chunk : {3u, 64u}) {
-        std::ostringstream label;
-        label << "history " << i << " shards=" << shards
-              << " per_chunk=" << per_chunk;
-        expect_pipeline_matches_monitor(h, /*workers=*/2, per_chunk,
-                                        label.str(), shards);
-      }
+    for (const std::size_t per_chunk : {3u, 64u}) {
+      std::ostringstream label;
+      label << "history " << i << " per_chunk=" << per_chunk;
+      expect_pipeline_matches_monitor(h, /*workers=*/2, per_chunk,
+                                      label.str());
     }
   }
 }
@@ -197,32 +189,6 @@ TEST(IngestPipeline, SnapshotReflectsAppliedWork) {
   EXPECT_EQ(s.chunks, 1u);
   EXPECT_EQ(s.verdict, Verdict::kYes);
   EXPECT_EQ(r.events, 8u);
-}
-
-TEST(CheckerPoolSharding, LocateFirstViolationMatchesFirstBadPrefix) {
-  util::Xoshiro256 rng(2026);
-  gen::GenOptions opts;
-  opts.num_txns = 8;
-  opts.num_objects = 3;
-  checker::PoolOptions popts;
-  popts.num_threads = 4;
-  const checker::CheckerPool pool(popts);
-  int violating = 0;
-  for (int i = 0; i < 40; ++i) {
-    history::History h = gen::random_history(opts, rng);
-    const auto expected = checker::first_bad_prefix(
-        h, checker::Criterion::kDuOpacity, popts.check);
-    if (expected.has_value()) ++violating;
-    for (const std::size_t shards : {1u, 2u, 3u, 5u}) {
-      EXPECT_EQ(pool.locate_first_violation(h, shards), expected)
-          << "history " << i << " shards=" << shards;
-    }
-    // 0 = one shard per worker.
-    EXPECT_EQ(pool.locate_first_violation(h), expected) << "history " << i;
-  }
-  // The sweep must exercise both outcomes to mean anything.
-  EXPECT_GT(violating, 0);
-  EXPECT_LT(violating, 40);
 }
 
 class ServiceFiles : public ::testing::Test {

@@ -365,36 +365,5 @@ TEST(ScopedThread, ExplicitJoinAndMove) {
   EXPECT_EQ(ran.load(), 1);
 }
 
-TEST(WorkerGang, RunsEveryPartyPerDispatch) {
-  constexpr std::size_t kParties = 4;
-  WorkerGang gang(kParties);
-  EXPECT_EQ(gang.parties(), kParties);
-  std::vector<std::atomic<std::uint64_t>> hits(kParties);
-  for (auto& h : hits) h.store(0);
-  for (int round = 0; round < 100; ++round) {
-    const std::function<void(std::size_t)> job = [&](std::size_t i) {
-      hits[i].fetch_add(1);
-    };
-    gang.run(job);
-    // run() is a barrier: every party has finished the round's job before
-    // it returns, so the counts are exact, not eventual.
-    for (const auto& h : hits)
-      ASSERT_EQ(h.load(), static_cast<std::uint64_t>(round + 1));
-  }
-}
-
-TEST(WorkerGang, PartiesSeeDistinctIndices) {
-  constexpr std::size_t kParties = 3;
-  WorkerGang gang(kParties);
-  std::vector<std::atomic<int>> seen(kParties);
-  for (auto& s : seen) s.store(0);
-  const std::function<void(std::size_t)> job = [&](std::size_t i) {
-    ASSERT_LT(i, kParties);
-    seen[i].fetch_add(1);
-  };
-  gang.run(job);
-  for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
-}
-
 }  // namespace
 }  // namespace duo::util

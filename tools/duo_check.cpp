@@ -62,12 +62,9 @@
 //   --idle-ms N       --follow/--serve idle cutoff in milliseconds
 //                     (default 2000; 0 follows forever)
 //   --serve           duo_mond in-process: follow the file through the
-//                     sharded ingest pipeline with monitor GC on, stats to
+//                     ingest pipeline with monitor GC on, stats to
 //                     stderr, final verdict flushed on SIGINT/SIGTERM or
 //                     the idle cutoff (see src/service/daemon.hpp)
-//   --shards N        monitor object shards for --stream/--serve (default
-//                     1; 0 = one per hardware thread); verdicts are
-//                     identical for every value
 //   --max-chunk B     with --serve: largest chunk one follow poll hands
 //                     the pipeline, in bytes (default 262144; must be >= 1)
 //   --list-stms       print the STM backend registry (name, update policy,
@@ -133,11 +130,8 @@ struct Options {
   bool follow = false;
   std::uint64_t idle_ms = 2000;
   // Service mode (--serve): the duo_mond daemon loop in-process — follow
-  // the file through the sharded ingest pipeline with monitor GC on.
+  // the file through the ingest pipeline with monitor GC on.
   bool serve = false;
-  // Monitor object shards for --stream/--serve (1 = serial derive,
-  // 0 = one per hardware thread). Verdicts are identical for every value.
-  std::size_t shards = 1;
   // --serve follow-chunk cap in bytes; 0 = FollowOptions' default.
   std::size_t max_chunk_bytes = 0;
 };
@@ -148,9 +142,9 @@ void print_usage(std::FILE* out) {
                "[--engine auto|graph|dfs] [--explain-engine] [-v] "
                "<trace-file|directory|->...\n"
                "       duo_check --stream [--follow] [--idle-ms N] "
-               "[--shards N] <trace-file|->\n"
+               "<trace-file|->\n"
                "       duo_check --serve [--jobs N] [--idle-ms N] "
-               "[--shards N] [--max-chunk BYTES] "
+               "[--max-chunk BYTES] "
                "<trace-file>   (duo_mond in-process; --idle-ms 0 follows "
                "forever)\n"
                "       duo_check --list-stms\n"
@@ -386,16 +380,15 @@ bool parse_args(int argc, char** argv, Options& opts) {
       continue;
     }
     if (arg == "--jobs" || arg == "-j" || arg == "--budget" ||
-        arg == "--idle-ms" || arg == "--shards" || arg == "--max-chunk") {
+        arg == "--idle-ms" || arg == "--max-chunk") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "duo_check: %s requires a value\n", arg.c_str());
         return false;
       }
       std::uint64_t value = 0;
-      // 0 is meaningful for --idle-ms (follow/serve forever) and --shards
-      // (one shard per hardware thread) only.
+      // 0 is meaningful for --idle-ms (follow/serve forever) only.
       if (!parse_count(argv[++i], value) ||
-          (value == 0 && arg != "--idle-ms" && arg != "--shards")) {
+          (value == 0 && arg != "--idle-ms")) {
         std::fprintf(stderr, "duo_check: bad %s value: %s\n", arg.c_str(),
                      argv[i]);
         return false;
@@ -404,8 +397,6 @@ bool parse_args(int argc, char** argv, Options& opts) {
         opts.node_budget = value;
       } else if (arg == "--idle-ms") {
         opts.idle_ms = value;
-      } else if (arg == "--shards") {
-        opts.shards = static_cast<std::size_t>(value);
       } else if (arg == "--max-chunk") {
         opts.max_chunk_bytes = static_cast<std::size_t>(value);
       } else {
@@ -425,10 +416,6 @@ bool parse_args(int argc, char** argv, Options& opts) {
   }
   if (opts.max_chunk_bytes != 0 && !opts.serve) {
     std::fprintf(stderr, "duo_check: --max-chunk requires --serve\n");
-    return false;
-  }
-  if (opts.shards != 1 && !opts.serve && !opts.stream) {
-    std::fprintf(stderr, "duo_check: --shards requires --stream or --serve\n");
     return false;
   }
   if (opts.serve) {
@@ -500,7 +487,6 @@ int check_stream(const Options& opts) {
   duo::monitor::MonitorOptions mopts;
   mopts.node_budget = opts.node_budget;
   mopts.engine = opts.engine;
-  mopts.shards = opts.shards;
   duo::monitor::OnlineMonitor mon(mopts);
 
   // `objects=N` declarations are honored across lines exactly like the
@@ -525,9 +511,8 @@ int check_stream(const Options& opts) {
                    "duo_check: objects= declares fewer objects than used\n");
       return 1;
     }
-    // Whole chunks go through the sharded batch path (prescan -> parallel
-    // per-object derive -> serial graph apply); verdicts and violation
-    // indices are identical to per-event feeding.
+    // Whole chunks go through feed_batch; verdicts and violation indices
+    // are identical to per-event feeding.
     const auto& events = parsed.value().events;
     const auto fed = mon.feed_batch(events.data(), events.size());
     if (!fed.error.empty()) {
@@ -622,7 +607,7 @@ int check_stream(const Options& opts) {
 }
 
 /// --serve: the duo_mond daemon loop in-process — follow the file through
-/// the sharded ingest pipeline with monitor GC on, periodic stats to
+/// the ingest pipeline with monitor GC on, periodic stats to
 /// stderr, final verdict on stdout. SIGINT/SIGTERM trigger the orderly
 /// drain + verdict flush instead of killing the process mid-check.
 int check_serve(const Options& opts) {
@@ -636,7 +621,6 @@ int check_serve(const Options& opts) {
   dopts.pipeline.monitor.gc = true;
   dopts.pipeline.monitor.node_budget = opts.node_budget;
   dopts.pipeline.monitor.engine = opts.engine;
-  dopts.pipeline.monitor.shards = opts.shards;
   std::signal(SIGINT, handle_stop);
   std::signal(SIGTERM, handle_stop);
   return duo::service::run_daemon(dopts).exit_code;

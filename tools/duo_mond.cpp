@@ -2,7 +2,7 @@
 //
 // Tails a growing trace file (the compact format of src/history/parser.hpp)
 // indefinitely and maintains the du-opacity verdict online with bounded
-// memory: events flow through the sharded ingest pipeline
+// memory: events flow through the ingest pipeline
 // (src/service/pipeline.hpp) into an OnlineMonitor with settled-prefix
 // garbage collection on, so resident state tracks the number of LIVE
 // transactions, not the length of the trace. Suitable for watching a
@@ -22,15 +22,12 @@
 //     stands, by prefix closure — Corollary 2).
 //
 // Usage:
-//   duo_mond trace.txt [--workers N] [--shards N] [--gc-retain N] [--no-gc]
+//   duo_mond trace.txt [--workers N] [--gc-retain N] [--no-gc]
 //            [--stats-interval-ms N] [--json] [--idle-ms N] [--budget N]
 //            [--max-chunk BYTES]
 //
 //   --idle-ms N   exit once the file stops growing for N ms (0 = follow
 //                 forever; the default, this being a daemon)
-//   --shards N    monitor object shards for the parallel derive phase
-//                 (default 1; 0 = one per hardware thread). Verdicts are
-//                 identical for every value.
 //   --max-chunk B largest chunk one follow poll hands the pipeline, in
 //                 bytes (default 262144; must be >= 1)
 //
@@ -52,9 +49,9 @@ void handle_stop(int) { g_stop = 1; }
 
 void print_usage(std::FILE* out) {
   std::fprintf(out,
-               "usage: duo_mond <trace-file> [--workers N] [--shards N] "
-               "[--gc-retain N] [--no-gc] [--stats-interval-ms N] [--json] "
-               "[--idle-ms N] [--budget N] [--max-chunk BYTES]\n"
+               "usage: duo_mond <trace-file> [--workers N] [--gc-retain N] "
+               "[--no-gc] [--stats-interval-ms N] [--json] [--idle-ms N] "
+               "[--budget N] [--max-chunk BYTES]\n"
                "tails a growing trace and maintains the du-opacity verdict "
                "with bounded memory\n");
 }
@@ -89,7 +86,7 @@ int main(int argc, char** argv) {
       opts.pipeline.monitor.gc = false;
       continue;
     }
-    if (arg == "--workers" || arg == "--shards" || arg == "--gc-retain" ||
+    if (arg == "--workers" || arg == "--gc-retain" ||
         arg == "--stats-interval-ms" || arg == "--idle-ms" ||
         arg == "--budget" || arg == "--max-chunk") {
       if (i + 1 >= argc) {
@@ -104,8 +101,6 @@ int main(int argc, char** argv) {
       }
       if (arg == "--workers") {
         opts.pipeline.workers = static_cast<std::size_t>(value);
-      } else if (arg == "--shards") {
-        opts.pipeline.monitor.shards = static_cast<std::size_t>(value);
       } else if (arg == "--max-chunk") {
         if (value == 0) {
           std::fprintf(stderr, "duo_mond: --max-chunk must be >= 1\n");

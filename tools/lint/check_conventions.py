@@ -24,11 +24,11 @@ Enforced conventions:
 3. No raw std::thread outside src/util/ and src/service/. Every thread must
    be a util::ScopedThread (join-on-destroy — a thrown exception or early
    return cannot leave a joinable thread to terminate the process), spawned
-   through util::run_threads, or owned by a util::WorkerGang
-   (src/util/threading.hpp). std::this_thread::* is fine — the ban is on
-   owning the thread handle, not on being on a thread. src/service/ keeps
-   the exemption because the pipeline/daemon own long-lived threads with
-   shutdown protocols that ScopedThread's join-on-destroy would deadlock.
+   through util::run_threads (src/util/threading.hpp). std::this_thread::*
+   is fine — the ban is on owning the thread handle, not on being on a
+   thread. src/service/ keeps the exemption because the pipeline/daemon
+   own long-lived threads with shutdown protocols that ScopedThread's
+   join-on-destroy would deadlock.
 
 Usage: python3 tools/lint/check_conventions.py [repo_root]
 Exits 1 with file:line diagnostics on any violation.
@@ -56,7 +56,7 @@ RAW_SYNC = re.compile(
 )
 BANNED_RANDOM = re.compile(r"(?<![\w:.])s?rand\s*\(|std::random_device\b")
 
-# src/util owns the ScopedThread/WorkerGang wrappers; src/service owns
+# src/util owns the ScopedThread/run_threads wrappers; src/service owns
 # long-lived pipeline/daemon threads with explicit shutdown protocols.
 RAW_THREAD_EXEMPT = re.compile(r"^src/(util|service)/")
 
@@ -264,8 +264,8 @@ def check_file(root: pathlib.Path, rel: str) -> list[str]:
         if RAW_THREAD.search(line) and not RAW_THREAD_EXEMPT.match(rel):
             problems.append(
                 f"{rel}:{lineno}: raw std::thread — use util::ScopedThread / "
-                f"util::run_threads / util::WorkerGang (src/util/threading.hpp) "
-                f"so threads join on every exit path"
+                f"util::run_threads (src/util/threading.hpp) so threads join "
+                f"on every exit path"
             )
     return problems
 

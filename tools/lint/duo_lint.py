@@ -172,7 +172,7 @@ class Callable:
     """What the tree declares under one bare function/method name. The
     lexical dropped-verdict check only fires on names whose every declared
     return type is watched — a name that is *also* declared with an
-    unwatched return (e.g. `run` on both a checker and WorkerGang) is
+    unwatched return (e.g. a `run` declared both ways) is
     ambiguous and vetoed, trading false negatives for zero false positives
     (the libclang frontend and [[nodiscard]] cover the remainder)."""
     watched_method: str = ""  # return-type text when declared as a method
@@ -1306,9 +1306,8 @@ class RawThreadCheck(_ConventionsCheck):
                    "(threads must join on every exit path)")
     pattern = conventions.RAW_THREAD
     exempt = conventions.RAW_THREAD_EXEMPT
-    hint = ("raw std::thread — use util::ScopedThread / util::run_threads / "
-            "util::WorkerGang (src/util/threading.hpp) so threads join on "
-            "every exit path")
+    hint = ("raw std::thread — use util::ScopedThread / util::run_threads "
+            "(src/util/threading.hpp) so threads join on every exit path")
 
 
 ALL_CHECKS = [RelaxedProofCheck(), GuardedMembersCheck(), LockOrderCheck(),
